@@ -262,14 +262,14 @@ let store_scaling_tests () =
         (fun n ->
           let triples = synthetic_triples n in
           let filled = S.create () in
-          S.add_all filled triples;
+          List.iter (fun tr -> ignore (S.add filled tr)) triples;
           let probe_subject = Printf.sprintf "scrap-%d" ((n / 2) + 1) in
           [
             Test.make
               ~name:(Printf.sprintf "insert:%s:n=%d" impl_name n)
               (staged (fun () ->
                    let s = S.create () in
-                   S.add_all s triples));
+                   List.iter (fun tr -> ignore (S.add s tr)) triples));
             Test.make
               ~name:(Printf.sprintf "select-subject:%s:n=%d" impl_name n)
               (staged (fun () -> S.select ~subject:probe_subject filled));
@@ -535,7 +535,7 @@ let compound_path_tests () =
   List.concat_map
     (fun (impl_name, (module S : Store.S)) ->
       let filled = S.create () in
-      S.add_all filled triples;
+      List.iter (fun tr -> ignore (S.add filled tr)) triples;
       let s = "subj-50" and p = "pred-50" in
       let o = Triple.literal "v-50-50" in
       [
@@ -564,8 +564,8 @@ let compound_path_tests () =
 
 (* Multi-domain throughput: 4 domains hammer one shared store with a
    mixed add/select workload on disjoint subjects. The sharded store's
-   subject-hashed locks let the domains proceed in parallel; the single
-   global lock serializes them. *)
+   subject-hashed locks let the domains proceed in parallel. It is the
+   store `slimpad serve` runs, and the only thread-safe one. *)
 let concurrent_throughput_tests () =
   let ops_per_domain = 1_000 in
   let mixed (module S : Store.S) () =
@@ -583,16 +583,11 @@ let concurrent_throughput_tests () =
     let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
     List.iter Domain.join domains
   in
-  List.filter_map
-    (fun (impl_name, store) ->
-      (* Only thread-safe stores participate. *)
-      if impl_name = "locked-indexed" || impl_name = "sharded" then
-        Some
-          (Test.make
-             ~name:(Printf.sprintf "mixed-4-domains:%s" impl_name)
-             (staged (mixed store)))
-      else None)
-    Store.implementations
+  [
+    Test.make
+      ~name:("mixed-4-domains:" ^ Store.Sharded_columnar.name)
+      (staged (mixed (module Store.Sharded_columnar)));
+  ]
 
 (* Early-terminating limit: limit 1 must cost a fraction of the full scan
    on the same join. *)
@@ -984,17 +979,15 @@ let obs_overhead_tests () =
 
 (* ------------- E15: columnar store scaling & binary snapshot codec *)
 
-(* The atom-interned columnar store against the string-keyed stores it
-   replaces as the default, at sizes where representation dominates.
-   The dataset is [synthetic_triples] plus one "captive" bundle holding
-   n/100 scraps — the §3 many-scrap bundle — so the probes cover both
-   bucket regimes: fat-bucket counts and filtered selects, where the
-   seed walks a list per call (O(1) live counters and int-compare scans
-   are the columnar wins), and point probes on tiny buckets, where both
-   representations sit at the allocation floor. Every probe runs once
-   before measurement so lazily built state on either side (bucket
-   cleaning, pair indexes) is steady. 1M rows only off-smoke, and only
-   for the two stores the acceptance criterion compares. *)
+(* The atom-interned columnar store and its sharded form, at sizes where
+   representation dominates. The dataset is [synthetic_triples] plus one
+   "captive" bundle holding n/100 scraps — the §3 many-scrap bundle — so
+   the probes cover both bucket regimes: fat-bucket counts and filtered
+   selects (O(1) live counters and int-compare scans), and point probes
+   on tiny buckets, which sit at the allocation floor. Every probe runs
+   once before measurement so lazily built state (bucket cleaning, pair
+   indexes) is steady. 1M rows only off-smoke, and only for the
+   unsharded store. *)
 let e15_triples n =
   let fat = max 64 (n / 100) in
   let captive =
@@ -1009,16 +1002,11 @@ let columnar_scaling_tests () =
     if !smoke then [ 10_000 ] else [ 10_000; 100_000; 1_000_000 ]
   in
   let impls n =
-    if n >= 1_000_000 then
-      [
-        ("indexed", (module Store.Indexed_store : Store.S));
-        ("columnar", (module Store.Columnar_store : Store.S));
-      ]
+    let columnar = ("columnar", (module Store.Columnar_store : Store.S)) in
+    if n >= 1_000_000 then [ columnar ]
     else
       [
-        ("indexed", (module Store.Indexed_store : Store.S));
-        ("columnar", (module Store.Columnar_store : Store.S));
-        ("sharded", (module Store.Sharded_store : Store.S));
+        columnar;
         ("sharded-columnar", (module Store.Sharded_columnar : Store.S));
       ]
   in
@@ -1028,7 +1016,7 @@ let columnar_scaling_tests () =
       List.concat_map
         (fun (impl_name, (module S : Store.S)) ->
           let filled = S.create () in
-          S.add_all filled triples;
+          List.iter (fun tr -> ignore (S.add filled tr)) triples;
           let point_subj = Printf.sprintf "scrap-%d" ((n / 2 / 3 * 3) + 1) in
           let so_obj = Triple.resource "scrap-300" in
           let probes =
@@ -1497,12 +1485,12 @@ let bundle_size_report () =
 
 (* ------------------------------------- --compare: regression gating *)
 
-(* Rebuild per-group latency distributions from two --json files using
-   the mergeable Si_obs histograms, then compare group medians. The
-   per-test OLS estimates are treated as samples of their group's
-   latency profile; a group whose new median exceeds threshold x the
-   old median fails the gate. Groups present on only one side are
-   reported but never fail (the bench suite grows PR over PR). *)
+(* Compare two --json files test by test, keyed by each test's full
+   (group-prefixed) name: a test whose new ns_per_run exceeds threshold
+   x its old one fails the gate. A group median would hide a regression
+   in one test among many, and would move when rows are only added or
+   dropped. Tests present on only one side are reported as [new] or
+   [gone] but never fail (the bench suite changes over time). *)
 let compare_runs ~threshold ~report_path old_path new_path =
   let load path =
     let contents = In_channel.with_open_bin path In_channel.input_all in
@@ -1510,46 +1498,36 @@ let compare_runs ~threshold ~report_path old_path new_path =
     | Error e -> failwith (Printf.sprintf "%s: %s" path e)
     | Ok json ->
         let entries = Option.value (Si_obs.Json.list json) ~default:[] in
-        let groups = Hashtbl.create 32 in
+        let tests = Hashtbl.create 256 in
         List.iter
           (fun entry ->
             match
-              ( Option.bind (Si_obs.Json.mem "group" entry) Si_obs.Json.str,
+              ( Option.bind (Si_obs.Json.mem "name" entry) Si_obs.Json.str,
                 Option.bind (Si_obs.Json.mem "ns_per_run" entry)
                   Si_obs.Json.number )
             with
-            | Some group, Some ns when Float.is_finite ns && ns >= 0. ->
-                let h =
-                  match Hashtbl.find_opt groups group with
-                  | Some h -> h
-                  | None ->
-                      let h = Si_obs.Histogram.create () in
-                      Hashtbl.add groups group h;
-                      h
-                in
-                Si_obs.Histogram.add h (int_of_float ns)
+            | Some name, Some ns when Float.is_finite ns && ns >= 0. ->
+                Hashtbl.replace tests name ns
             | _ -> ())
           entries;
-        groups
+        tests
   in
-  let old_groups = load old_path and new_groups = load new_path in
+  let old_tests = load old_path and new_tests = load new_path in
   let names tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  let all = List.sort_uniq compare (names old_groups @ names new_groups) in
-  let buf = Buffer.create 1024 in
+  let all = List.sort_uniq compare (names old_tests @ names new_tests) in
+  let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "bench comparison: %s -> %s (gate: median > %.1fx)" old_path new_path
+  line "bench comparison: %s -> %s (gate: per test > %.1fx)" old_path new_path
     threshold;
   let failures = ref 0 in
   List.iter
-    (fun group ->
+    (fun test ->
       match
-        (Hashtbl.find_opt old_groups group, Hashtbl.find_opt new_groups group)
+        (Hashtbl.find_opt old_tests test, Hashtbl.find_opt new_tests test)
       with
       | Some o, Some n ->
-          let om = Si_obs.Histogram.median o
-          and nm = Si_obs.Histogram.median n in
-          if om > 0. then begin
-            let ratio = nm /. om in
+          if o > 0. then begin
+            let ratio = n /. o in
             let verdict =
               if ratio > threshold then begin
                 incr failures;
@@ -1557,21 +1535,17 @@ let compare_runs ~threshold ~report_path old_path new_path =
               end
               else "ok"
             in
-            line "  %-4s %-55s median %10.0fns -> %10.0fns (%.2fx)" verdict
-              group om nm ratio
+            line "  %-4s %-80s %12.0fns -> %12.0fns (%.2fx)" verdict test o n
+              ratio
           end
-          else line "  ok   %-55s old median 0ns; skipped" group
-      | None, Some n ->
-          line "  new  %-55s median %10.0fns (no baseline)" group
-            (Si_obs.Histogram.median n)
-      | Some o, None ->
-          line "  gone %-55s median was %10.0fns" group
-            (Si_obs.Histogram.median o)
+          else line "  ok   %-80s old 0ns; skipped" test
+      | None, Some n -> line "  new  %-80s %12.0fns (no baseline)" test n
+      | Some o, None -> line "  gone %-80s was %12.0fns" test o
       | None, None -> ())
     all;
   line "%s"
     (if !failures = 0 then "comparison passed"
-     else Printf.sprintf "comparison FAILED: %d group(s) regressed" !failures);
+     else Printf.sprintf "comparison FAILED: %d test(s) regressed" !failures);
   let text = Buffer.contents buf in
   print_string text;
   (match report_path with

@@ -143,7 +143,6 @@ let () =
       ("wal.ship", 70, true, "shipping buffer; seals segments to disk");
       ("slimpad.ship.wake", 80, false, "async shipper wakeup flag");
       ("wal.transport.local", 90, false, "in-process follower mailbox");
-      ("store.locked", 100, false, "coarse whole-store wrapper lock");
       ("store.shard", 110, false, "per-shard store lock; never nested");
       ("atom.table", 120, false, "atom-interning append lock");
       ("obs.registry", 200, false, "metric registry lookups");

@@ -6,7 +6,9 @@
    Reads run concurrently over the sharded store — and go to the
    attached follower whenever its bounded-staleness guard holds — while
    every mutation serializes through [writer] and syncs the leader's
-   WAL before the response, so an acknowledged write is durable.
+   WAL before the response, so an acknowledged write survives a process
+   crash. The sync flushes to the OS and does not fsync, so a power
+   loss can still drop it (see [Si_wal.Log]).
 
    Backpressure is typed, never blocking: a full connection queue is
    answered [Overloaded] at accept, a full job queue at submit. A frame

@@ -19,10 +19,8 @@ module type S = sig
   val exists :
     ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> bool
 
-  val iter : (Triple.t -> unit) -> t -> unit
   val fold : (Triple.t -> 'a -> 'a) -> t -> 'a -> 'a
   val to_list : t -> Triple.t list
-  val add_all : t -> Triple.t list -> unit
 end
 
 let matches ?subject ?predicate ?object_ (t : Triple.t) =
@@ -77,214 +75,9 @@ module List_store = struct
     | None, None, None -> t.count > 0
     | _ -> List.exists (matches ?subject ?predicate ?object_) t.triples
 
-  let iter f t = List.iter f t.triples
   let fold f t init = List.fold_left (fun acc x -> f x acc) init t.triples
   let to_list t = t.triples
-  let add_all t triples = List.iter (fun x -> ignore (add t x)) triples
 end
-
-module Indexed_store = struct
-  (* Primary set plus five secondary indexes: one per field, and two
-     compound pair indexes (subject+predicate and predicate+object) so that
-     the hot bound-SP / bound-PO lookups hit an exact bucket instead of
-     post-filtering a single-key bucket. Index buckets may contain stale
-     entries after a removal (and duplicates after a remove + re-add);
-     they are cleaned lazily at query time. Each bucket remembers the
-     removal stamp at which it was last cleaned, so stores that never (or
-     rarely) remove pay nothing on select. *)
-  type bucket = { mutable items : Triple.t list; mutable cleaned_at : int }
-
-  type t = {
-    all : (Triple.t, unit) Hashtbl.t;
-    by_subject : (string, bucket) Hashtbl.t;
-    by_predicate : (string, bucket) Hashtbl.t;
-    by_object : (Triple.obj, bucket) Hashtbl.t;
-    by_sp : (string * string, bucket) Hashtbl.t;
-    by_po : (string * Triple.obj, bucket) Hashtbl.t;
-    mutable removal_stamp : int;
-  }
-
-  let name = "indexed"
-
-  let create () =
-    {
-      all = Hashtbl.create 256;
-      by_subject = Hashtbl.create 64;
-      by_predicate = Hashtbl.create 64;
-      by_object = Hashtbl.create 64;
-      by_sp = Hashtbl.create 64;
-      by_po = Hashtbl.create 64;
-      removal_stamp = 0;
-    }
-
-  let mem t triple = Hashtbl.mem t.all triple
-
-  let bucket t table key =
-    match Hashtbl.find_opt table key with
-    | Some b -> b
-    | None ->
-        let b = { items = []; cleaned_at = t.removal_stamp } in
-        Hashtbl.add table key b;
-        b
-
-  let add t triple =
-    if mem t triple then false
-    else begin
-      Hashtbl.add t.all triple ();
-      let push table key =
-        let b = bucket t table key in
-        b.items <- triple :: b.items
-      in
-      push t.by_subject triple.Triple.subject;
-      push t.by_predicate triple.Triple.predicate;
-      push t.by_object triple.Triple.object_;
-      push t.by_sp (triple.Triple.subject, triple.Triple.predicate);
-      push t.by_po (triple.Triple.predicate, triple.Triple.object_);
-      true
-    end
-
-  let remove t triple =
-    if mem t triple then begin
-      Hashtbl.remove t.all triple;
-      (* Indexes (including the pair indexes) are cleaned lazily in
-         [live_bucket]. *)
-      t.removal_stamp <- t.removal_stamp + 1;
-      true
-    end
-    else false
-
-  let size t = Hashtbl.length t.all
-
-  let clear t =
-    Hashtbl.reset t.all;
-    Hashtbl.reset t.by_subject;
-    Hashtbl.reset t.by_predicate;
-    Hashtbl.reset t.by_object;
-    Hashtbl.reset t.by_sp;
-    Hashtbl.reset t.by_po;
-    (* The stamp must stay monotone, never rewind: [live_bucket]'s fast
-       path is "cleaned_at = removal_stamp means exact", so winding the
-       stamp back to 0 would let a bucket cleaned at stamp n before the
-       clear alias a fresh post-clear stamp and serve its stale items as
-       exact. Purge-on-clear = reset every index table AND advance the
-       stamp past all outstanding cleaned_at values. *)
-    t.removal_stamp <- t.removal_stamp + 1
-
-  (* Live triples of a bucket. Fast path: no removal since the bucket was
-     last cleaned, so its items are exact. Slow path: filter out stale
-     entries and deduplicate (a triple removed and later re-added appears
-     twice — the stale copy is indistinguishable from the live one), then
-     write the clean list back. *)
-  let live_bucket t table key =
-    match Hashtbl.find_opt table key with
-    | None -> []
-    | Some b ->
-        if b.cleaned_at = t.removal_stamp then b.items
-        else begin
-          let seen = Hashtbl.create 16 in
-          let live =
-            List.filter
-              (fun triple ->
-                Hashtbl.mem t.all triple
-                && not (Hashtbl.mem seen triple)
-                && begin
-                     Hashtbl.add seen triple ();
-                     true
-                   end)
-              b.items
-          in
-          b.items <- live;
-          b.cleaned_at <- t.removal_stamp;
-          live
-        end
-
-  let select ?subject ?predicate ?object_ t =
-    match (subject, predicate, object_) with
-    | None, None, None -> Hashtbl.fold (fun k () acc -> k :: acc) t.all []
-    | Some s, Some p, Some o ->
-        let tr = Triple.make s p o in
-        if Hashtbl.mem t.all tr then [ tr ] else []
-    | Some s, Some p, None -> live_bucket t t.by_sp (s, p)
-    | Some s, None, Some o ->
-        List.filter
-          (fun (tr : Triple.t) -> Triple.obj_equal o tr.object_)
-          (live_bucket t t.by_subject s)
-    | Some s, None, None -> live_bucket t t.by_subject s
-    | None, Some p, Some o -> live_bucket t t.by_po (p, o)
-    | None, Some p, None -> live_bucket t t.by_predicate p
-    | None, None, Some o -> live_bucket t t.by_object o
-
-  let count ?subject ?predicate ?object_ t =
-    match (subject, predicate, object_) with
-    | None, None, None -> Hashtbl.length t.all
-    | Some s, Some p, Some o ->
-        if Hashtbl.mem t.all (Triple.make s p o) then 1 else 0
-    | Some s, Some p, None -> List.length (live_bucket t t.by_sp (s, p))
-    | Some s, None, Some o ->
-        List.fold_left
-          (fun n (tr : Triple.t) ->
-            if Triple.obj_equal o tr.object_ then n + 1 else n)
-          0
-          (live_bucket t t.by_subject s)
-    | Some s, None, None -> List.length (live_bucket t t.by_subject s)
-    | None, Some p, Some o -> List.length (live_bucket t t.by_po (p, o))
-    | None, Some p, None -> List.length (live_bucket t t.by_predicate p)
-    | None, None, Some o -> List.length (live_bucket t t.by_object o)
-
-  let exists ?subject ?predicate ?object_ t =
-    match (subject, predicate, object_) with
-    | None, None, None -> Hashtbl.length t.all > 0
-    | Some s, Some p, Some o -> Hashtbl.mem t.all (Triple.make s p o)
-    | Some s, Some p, None -> live_bucket t t.by_sp (s, p) <> []
-    | Some s, None, Some o ->
-        List.exists
-          (fun (tr : Triple.t) -> Triple.obj_equal o tr.object_)
-          (live_bucket t t.by_subject s)
-    | Some s, None, None -> live_bucket t t.by_subject s <> []
-    | None, Some p, Some o -> live_bucket t t.by_po (p, o) <> []
-    | None, Some p, None -> live_bucket t t.by_predicate p <> []
-    | None, None, Some o -> live_bucket t t.by_object o <> []
-
-  let iter f t = Hashtbl.iter (fun k () -> f k) t.all
-  let fold f t init = Hashtbl.fold (fun k () acc -> f k acc) t.all init
-  let to_list t = Hashtbl.fold (fun k () acc -> k :: acc) t.all []
-  let add_all t triples = List.iter (fun x -> ignore (add t x)) triples
-end
-
-module Locked (Base : S) = struct
-  type t = { base : Base.t; lock : Si_check.Lock.t }
-
-  let name = "locked-" ^ Base.name
-
-  let create () =
-    { base = Base.create (); lock = Si_check.Lock.create ~class_:"store.locked" }
-
-  let locked t f = Si_check.Lock.with_lock t.lock (fun () -> f t.base)
-
-  let add t triple = locked t (fun s -> Base.add s triple)
-  let remove t triple = locked t (fun s -> Base.remove s triple)
-  let mem t triple = locked t (fun s -> Base.mem s triple)
-  let size t = locked t Base.size
-  let clear t = locked t Base.clear
-
-  let select ?subject ?predicate ?object_ t =
-    locked t (fun s -> Base.select ?subject ?predicate ?object_ s)
-
-  let count ?subject ?predicate ?object_ t =
-    locked t (fun s -> Base.count ?subject ?predicate ?object_ s)
-
-  let exists ?subject ?predicate ?object_ t =
-    locked t (fun s -> Base.exists ?subject ?predicate ?object_ s)
-
-  (* Iteration holds the lock for its whole duration: callbacks must not
-     re-enter the store. *)
-  let iter f t = locked t (Base.iter f)
-  let fold f t init = locked t (fun s -> Base.fold f s init)
-  let to_list t = locked t Base.to_list
-  let add_all t triples = locked t (fun s -> Base.add_all s triples)
-end
-
-module Locked_indexed = Locked (Indexed_store)
 
 let columnar_compact_count = Si_obs.Registry.counter "store.columnar.compact"
 let columnar_compact_latency = Si_obs.Registry.histogram "store.columnar.compact"
@@ -304,15 +97,13 @@ module Columnar_store = struct
      int-keyed: single-field and (subject, predicate) / (predicate,
      object) pair buckets of row indices, each with an eagerly
      maintained live count, so [count] on any indexed combination is
-     O(1) — no bucket walk, the big win over {!Indexed_store}'s
-     [List.length (live_bucket ...)]. Bucket item lists are cleaned
-     lazily, the next time a select walks them.
+     O(1) — no bucket walk. Bucket item lists are cleaned lazily, the
+     next time a select walks them.
 
      Read-only entry points resolve strings with [Atom.find], never
      [Atom.intern]: probing for a string that was never stored (as
      [Trim.new_id] does in a loop) must not grow the process-wide atom
-     table. Single-domain, like {!Indexed_store}; wrap in {!Locked} or
-     {!Sharded} to share. *)
+     table. Single-domain; wrap in {!Sharded} to share. *)
 
   type bucket = {
     mutable items : int list;  (* row indices; stale entries linger *)
@@ -824,11 +615,6 @@ module Columnar_store = struct
     | None, Some (Some p), None -> abucket_live t.by_p p > 0
     | None, None, Some (Some o) -> abucket_live t.by_o o > 0
 
-  let iter f t =
-    for r = 0 to t.len - 1 do
-      if t.subs.(r) >= 0 then f t.rows.(r)
-    done
-
   let fold f t init =
     let acc = ref init in
     for r = 0 to t.len - 1 do
@@ -837,7 +623,6 @@ module Columnar_store = struct
     !acc
 
   let to_list = all_rows
-  let add_all t triples = List.iter (fun x -> ignore (add t x)) triples
 
   (* Bulk load for snapshot recovery. The store takes ownership of the
      three column arrays — the decoder fills them and hands them over,
@@ -966,21 +751,11 @@ module Sharded (B : S) = struct
         scan 0
 
   (* Per-shard locking: callbacks must not re-enter the store. *)
-  let iter f t = fold_shards t (fun () s -> B.iter f s) ()
   let fold f t init = fold_shards t (fun acc s -> B.fold f s acc) init
 
   let to_list t =
     List.concat
       (List.init shard_count (fun i -> with_shard t i (fun s -> B.to_list s)))
-
-  let add_all t triples = List.iter (fun x -> ignore (add t x)) triples
-end
-
-module Sharded_store = struct
-  include Sharded (Indexed_store)
-
-  (* Predates the functor; keeps its original registered name. *)
-  let name = "sharded"
 end
 
 module Sharded_columnar = Sharded (Columnar_store)
@@ -988,9 +763,6 @@ module Sharded_columnar = Sharded (Columnar_store)
 let implementations =
   [
     (List_store.name, (module List_store : S));
-    (Indexed_store.name, (module Indexed_store : S));
-    (Locked_indexed.name, (module Locked_indexed : S));
     (Columnar_store.name, (module Columnar_store : S));
-    (Sharded_store.name, (module Sharded_store : S));
     (Sharded_columnar.name, (module Sharded_columnar : S));
   ]

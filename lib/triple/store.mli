@@ -1,14 +1,16 @@
 (** Triple-store interface and its implementations.
 
     TRIM's storage layer. The paper's prototype favoured a lightweight
-    structure ({!List_store}); §6 reports that "some data sets are quite
-    large and we are developing alternative implementation mechanisms" —
-    {!Indexed_store} is that alternative: hash indexes on each field plus
-    compound subject+predicate and predicate+object pair indexes, so the
-    hot bound-SP / bound-PO lookups resolve to an exact bucket.
-    {!Sharded_store} spreads an indexed store over subject-hashed shards
-    for concurrent multi-domain workloads. All implementations expose the
-    same set semantics (duplicate triples are not stored twice). *)
+    structure ({!List_store}), kept here as the reference the other
+    implementations are tested against. §6 reports that "some data sets
+    are quite large and we are developing alternative implementation
+    mechanisms" — {!Columnar_store} is that alternative: atom-interned
+    int columns with per-field and subject+predicate / predicate+object
+    pair indexes, so the hot bound-SP / bound-PO lookups resolve to an
+    exact bucket. {!Sharded_columnar} spreads it over subject-hashed
+    shards for concurrent multi-domain workloads. All implementations
+    expose the same set semantics (duplicate triples are not stored
+    twice). *)
 
 module type S = sig
   type t
@@ -38,7 +40,7 @@ module type S = sig
     ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> int
   (** [count ?subject ?predicate ?object_ t] is
       [List.length (select ?subject ?predicate ?object_ t)] without
-      materializing the result list. Indexed implementations answer from
+      materializing the result list. {!Columnar_store} answers from
       bucket sizes; the query optimizer uses this for real cardinality
       estimates. *)
 
@@ -50,36 +52,16 @@ module type S = sig
       first match. The hot case is [exists ~subject] (is this id in
       use?). *)
 
-  val iter : (Triple.t -> unit) -> t -> unit
   val fold : (Triple.t -> 'a -> 'a) -> t -> 'a -> 'a
+  (** Folds over every stored triple. Order is unspecified; the callback
+      must not re-enter the store. *)
+
   val to_list : t -> Triple.t list
-  val add_all : t -> Triple.t list -> unit
 end
 
 module List_store : S
 (** Unindexed, list-backed. O(n) everything; tiny footprint — the
     "keep it lightweight" choice for small superimposed layers. *)
-
-module Indexed_store : S
-(** Hash-indexed on each field and on the (subject, predicate) and
-    (predicate, object) pairs. A [select] with bound subject+predicate or
-    predicate+object hits its pair bucket directly with no post-filter;
-    other combinations use the most selective single-field index. Buckets
-    are cleaned lazily after removals (stale and duplicate entries are
-    purged the next time the bucket is read), so removal-free workloads
-    never pay a cleaning cost. *)
-
-module Locked (Base : S) : S
-(** [Base] behind a mutex: every operation is atomic with respect to
-    other domains, so one store can back concurrently shared superimposed
-    information (the §2 "collectively maintained, situated awareness"
-    setting, multi-domain edition). Composite read-modify-write sequences
-    still need external coordination (see {!Trim.transaction}). The name
-    is ["locked-" ^ Base.name]. *)
-
-module Locked_indexed : S
-(** [Locked (Indexed_store)], the implementation shared stores should
-    use when contention is low. *)
 
 (** Triples stored column-wise as parallel int arrays over {!Atom} ids:
     subject / predicate / packed-object columns plus a canonical
@@ -90,8 +72,7 @@ module Locked_indexed : S
     arrays — the compact representation behind the E15 speedups.
     Removals tombstone rows; the store compacts itself when tombstones
     pass half the occupancy (counter and span [store.columnar.compact]).
-    Single-domain, like {!Indexed_store}; wrap in {!Locked} or
-    {!Sharded} to share across domains. *)
+    Single-domain; {!Sharded_columnar} shares it across domains. *)
 module Columnar_store : sig
   include S
 
@@ -108,24 +89,15 @@ module Columnar_store : sig
       @raise Invalid_argument when the column lengths differ. *)
 end
 
-module Sharded (B : S) : S
-(** A [B] per shard, subject-hashed, each shard behind its own mutex.
-    Writes and subject-bound reads lock exactly one shard, so domains
-    working on different subjects proceed in parallel instead of
-    serializing on one global lock ({!Locked_indexed}'s bottleneck).
-    Cross-shard reads (predicate- or object-bound [select], [size],
-    [to_list]) lock shards one at a time: each shard is observed
-    atomically, the whole-store view is not. Locks never nest, so the
-    store cannot deadlock. The name is ["sharded-" ^ B.name]. *)
-
-module Sharded_store : S
-(** [Sharded (Indexed_store)] under its original registered name,
-    ["sharded"]. *)
-
 module Sharded_columnar : S
-(** [Sharded (Columnar_store)]: the concurrent face of the columnar
-    representation. *)
+(** A {!Columnar_store} per shard, subject-hashed, each shard behind its
+    own mutex (lock class [store.shard]). Writes and subject-bound reads
+    lock exactly one shard, so domains working on different subjects
+    proceed in parallel instead of serializing on one global lock.
+    Cross-shard reads (predicate- or object-bound [select], [size],
+    [to_list], [fold]) lock shards one at a time: each shard is observed
+    atomically, the whole-store view is not. Locks never nest, so the
+    store cannot deadlock. The name is ["sharded-columnar"]. *)
 
 val implementations : (string * (module S)) list
-(** [list], [indexed], [locked-indexed], [columnar], [sharded], and
-    [sharded-columnar]. *)
+(** [list], [columnar], and [sharded-columnar]. *)

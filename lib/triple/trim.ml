@@ -39,8 +39,6 @@ let create ?(store = (module Store.Columnar_store : Store.S)) () =
 let on_mutate t f = t.observer <- Some f
 let notify t op = match t.observer with Some f -> f op | None -> ()
 
-let create_lightweight () = create ~store:(module Store.List_store) ()
-
 let store_name t =
   let (Pack ((module S), _)) = t.pack in
   S.name
@@ -142,11 +140,13 @@ let add_all t triples =
   match t.observer with
   | Some _ ->
       (* The observer must see each effective insertion, so take the
-         per-triple path (the bulk store op is List.iter add anyway). *)
+         per-triple path. *)
       List.iter (fun triple -> ignore (add t triple)) triples
   | None ->
+      (* Straight to the store, not through [add]: a bulk load is not
+         counted as [triple.insert]s. *)
       let (Pack ((module S), s)) = t.pack in
-      S.add_all s triples
+      List.iter (fun triple -> ignore (S.add s triple)) triples
 
 let select ?subject ?predicate ?object_ t =
   Si_obs.Counter.incr select_count;

@@ -13,13 +13,9 @@ type t
 
 val create : ?store:(module Store.S) -> unit -> t
 (** Defaults to {!Store.Columnar_store} — the atom-interned compact
-    representation. Pass {!Store.Indexed_store} for the previous
-    string-keyed behaviour; semantics are identical (the conformance
-    suite holds every implementation to the same answers). *)
-
-val create_lightweight : unit -> t
-(** Uses {!Store.List_store} — the paper's small-footprint prototype
-    choice. *)
+    representation. Pass {!Store.List_store} for the paper's
+    small-footprint prototype choice; semantics are identical (the
+    conformance suite holds every implementation to the same answers). *)
 
 val store_name : t -> string
 

@@ -243,9 +243,8 @@ let test_hierarchy_declared () =
     [
       "server.session"; "server.jobq"; "server.job"; "server.writer";
       "wal.registry"; "slimpad.ship.round"; "wal.log"; "wal.ship";
-      "slimpad.ship.wake"; "wal.transport.local"; "store.locked";
-      "store.shard"; "atom.table"; "obs.registry"; "obs.span.ring";
-      "obs.histogram";
+      "slimpad.ship.wake"; "wal.transport.local"; "store.shard";
+      "atom.table"; "obs.registry"; "obs.span.ring"; "obs.histogram";
     ];
   (* Ranks are strictly increasing in the sorted listing: no ties, so
      "may acquire" is a total order over the declared core. *)

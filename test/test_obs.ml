@@ -172,7 +172,7 @@ let test_span_domains () =
   let spans =
     trace_with_ticks (fun () ->
         let trim =
-          Si_triple.Trim.create ~store:(module Store.Sharded_store) ()
+          Si_triple.Trim.create ~store:(module Store.Sharded_columnar) ()
         in
         let worker d () =
           Span.with_ ~layer:"test" ~op:(Printf.sprintf "worker-%d" d)

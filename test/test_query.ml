@@ -315,10 +315,8 @@ module Counting_store = struct
 
   let count = B.count
   let exists = B.exists
-  let iter = B.iter
   let fold = B.fold
   let to_list = B.to_list
-  let add_all = B.add_all
 end
 
 let test_limit_stops_enumerating () =

@@ -1,4 +1,4 @@
-(* Tests for TRIM: triples, both store implementations, views,
+(* Tests for TRIM: triples, every store implementation, views,
    persistence. *)
 
 open Si_triple
@@ -34,7 +34,7 @@ let store_tests (module S : Store.S) =
   let prefix = S.name in
   let make () =
     let s = S.create () in
-    S.add_all s sample;
+    List.iter (fun x -> ignore (S.add s x)) sample;
     s
   in
   let test_set_semantics () =
@@ -151,12 +151,9 @@ let store_tests (module S : Store.S) =
     check_bool "exists on empty" false (S.exists s);
     check_int "count on empty" 0 (S.count s)
   in
-  let test_fold_iter () =
+  let test_fold_to_list () =
     let s = make () in
     check_int "fold count" 5 (S.fold (fun _ n -> n + 1) s 0);
-    let n = ref 0 in
-    S.iter (fun _ -> incr n) s;
-    check_int "iter count" 5 !n;
     check_int "to_list" 5 (List.length (S.to_list s))
   in
   [
@@ -167,98 +164,15 @@ let store_tests (module S : Store.S) =
     (prefix ^ ": pair indexes survive remove/re-add", `Quick,
      test_pair_index_stale);
     (prefix ^ ": count & exists", `Quick, test_count_exists);
-    (prefix ^ ": fold & iter", `Quick, test_fold_iter);
+    (prefix ^ ": fold & to_list", `Quick, test_fold_to_list);
   ]
 
 (* ------------------------------------------------- parallel (domains) *)
 
-let test_parallel_adds () =
-  (* Four domains hammer one locked store with disjoint triples; nothing
-     is lost and nothing crashes. *)
-  let module S = Store.Locked_indexed in
-  let s = S.create () in
-  let per_domain = 500 in
-  let worker d () =
-    for i = 0 to per_domain - 1 do
-      ignore
-        (S.add s
-           (Triple.make
-              (Printf.sprintf "d%d-r%d" d i)
-              "p"
-              (Triple.literal (string_of_int i))));
-      (* Interleave reads to stress select under contention. *)
-      if i mod 50 = 0 then ignore (S.select ~predicate:"p" s)
-    done
-  in
-  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join domains;
-  check_int "all triples present" (4 * per_domain) (S.size s);
-  check_int "select sees everything" (4 * per_domain)
-    (List.length (S.select ~predicate:"p" s))
-
-let test_parallel_mixed_ops () =
-  let module S = Store.Locked_indexed in
-  let s = S.create () in
-  let triples d =
-    List.init 200 (fun i ->
-        Triple.make (Printf.sprintf "d%d-r%d" d i) "p" (Triple.literal "v"))
-  in
-  (* Two adders, one remover chasing the first adder, one reader. *)
-  let adder d () = List.iter (fun t -> ignore (S.add s t)) (triples d) in
-  let remover () = List.iter (fun t -> ignore (S.remove s t)) (triples 0) in
-  let reader () =
-    for _ = 1 to 200 do
-      ignore (S.select ~predicate:"p" s);
-      ignore (S.size s)
-    done
-  in
-  let domains =
-    [
-      Domain.spawn (adder 0); Domain.spawn (adder 1); Domain.spawn remover;
-      Domain.spawn reader;
-    ]
-  in
-  List.iter Domain.join domains;
-  (* Adder 1's triples are definitely all present; adder 0's may or may
-     not have been removed, but the store must be consistent. *)
-  let remaining = S.select ~predicate:"p" s in
-  check_bool "adder-1 intact" true
-    (List.for_all
-       (fun t -> List.exists (Triple.equal t) remaining)
-       (triples 1));
-  check_int "size agrees with select" (S.size s) (List.length remaining)
-
-let test_sharded_parallel_adds () =
-  (* Four domains hammer the sharded store with disjoint triples; nothing
-     is lost and nothing crashes. *)
-  let module S = Store.Sharded_store in
-  let s = S.create () in
-  let per_domain = 500 in
-  let worker d () =
-    for i = 0 to per_domain - 1 do
-      ignore
-        (S.add s
-           (Triple.make
-              (Printf.sprintf "d%d-r%d" d i)
-              "p"
-              (Triple.literal (string_of_int i))));
-      (* Interleave cross-shard and single-shard reads under contention. *)
-      if i mod 50 = 0 then ignore (S.select ~predicate:"p" s);
-      if i mod 25 = 0 then
-        ignore (S.exists ~subject:(Printf.sprintf "d%d-r%d" d (i / 2)) s)
-    done
-  in
-  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
-  List.iter Domain.join domains;
-  check_int "all triples present" (4 * per_domain) (S.size s);
-  check_int "select sees everything" (4 * per_domain)
-    (List.length (S.select ~predicate:"p" s));
-  check_int "count agrees" (4 * per_domain) (S.count ~predicate:"p" s)
-
 let test_sharded_parallel_mixed_ops () =
   (* 5 domains, mixed add/remove/select: two adders, a remover chasing the
      first adder, a cross-shard reader, and a subject-bound reader. *)
-  let module S = Store.Sharded_store in
+  let module S = Store.Sharded_columnar in
   let s = S.create () in
   let triples d =
     List.init 200 (fun i ->
@@ -301,7 +215,7 @@ let test_sharded_stale_pair_after_domains () =
   (* Remove + re-add races across domains must not leave duplicate pair
      bucket entries: every surviving subject+predicate bucket holds the
      triple exactly once. *)
-  let module S = Store.Sharded_store in
+  let module S = Store.Sharded_columnar in
   let s = S.create () in
   let triples =
     List.init 100 (fun i ->
@@ -423,40 +337,6 @@ let test_columnar_compaction () =
   check_bool "victim gone" false (S.mem s (tr 0));
   check_int "sp bucket exact" 1 (S.count ~subject:"c1" ~predicate:"p" s);
   check_int "removed sp bucket empty" 0 (S.count ~subject:"c0" ~predicate:"p" s)
-
-let test_indexed_clear_purges_indexes () =
-  (* Regression: [clear] must purge the pair indexes and keep the removal
-     stamp monotone. The old stamp rewind (to 0) could let a bucket
-     cleaned before the clear alias a fresh post-clear stamp and serve
-     stale items as exact. *)
-  let module S = Store.Indexed_store in
-  let s = S.create () in
-  let t = Triple.make "cl-s" "cl-p" (Triple.literal "cl-v") in
-  ignore (S.add s t);
-  ignore (S.remove s t);
-  (* Lazy-clean the sp and po buckets at the current stamp. *)
-  check_int "sp cleaned empty" 0 (List.length (S.select ~subject:"cl-s" ~predicate:"cl-p" s));
-  check_int "po cleaned empty" 0
-    (List.length (S.select ~predicate:"cl-p" ~object_:(Triple.literal "cl-v") s));
-  S.clear s;
-  check_int "empty after clear" 0 (S.size s);
-  check_bool "select empty after clear" true (S.select s = []);
-  (* Reuse the same keys after the clear: every index answers exactly. *)
-  ignore (S.add s t);
-  check_int "sp exact after clear+re-add" 1
-    (List.length (S.select ~subject:"cl-s" ~predicate:"cl-p" s));
-  check_int "po exact after clear+re-add" 1
-    (List.length (S.select ~predicate:"cl-p" ~object_:(Triple.literal "cl-v") s));
-  check_int "count sp" 1 (S.count ~subject:"cl-s" ~predicate:"cl-p" s);
-  ignore (S.remove s t);
-  check_int "sp empty after final remove" 0
-    (List.length (S.select ~subject:"cl-s" ~predicate:"cl-p" s));
-  S.clear s;
-  S.clear s;
-  (* Double clear then fresh content: still exact. *)
-  ignore (S.add s t);
-  check_int "exact after double clear" 1
-    (S.count ~predicate:"cl-p" ~object_:(Triple.literal "cl-v") s)
 
 let test_sharded_columnar_parallel () =
   (* The sharded wrapper over the columnar base: disjoint adds from four
@@ -680,17 +560,18 @@ let test_xml_roundtrip () =
   check_bool "equal" true (Trim.equal_contents trim trim2)
 
 let test_xml_roundtrip_across_stores () =
-  let light = Trim.create_lightweight () in
+  let light = Trim.create ~store:(module Store.List_store) () in
   Trim.add_all light sample;
-  let indexed =
-    match Trim.of_xml ~store:(module Store.Indexed_store) (Trim.to_xml light)
+  let sharded =
+    match
+      Trim.of_xml ~store:(module Store.Sharded_columnar) (Trim.to_xml light)
     with
     | Ok x -> x
     | Error e -> Alcotest.fail e
   in
-  check "store" "indexed" (Trim.store_name indexed);
+  check "store" "sharded-columnar" (Trim.store_name sharded);
   check_bool "contents equal across implementations" true
-    (Trim.equal_contents light indexed)
+    (Trim.equal_contents light sharded)
 
 let test_file_roundtrip () =
   let trim = make_trim () in
@@ -735,61 +616,20 @@ let arbitrary_triples =
   QCheck.make gen_triples ~print:(fun l ->
       String.concat "; " (List.map Triple.to_string l))
 
-let prop_stores_agree =
-  QCheck.Test.make ~name:"list and indexed stores agree on select" ~count:200
-    arbitrary_triples (fun triples ->
-      let ls = Store.List_store.create () in
-      let is = Store.Indexed_store.create () in
-      Store.List_store.add_all ls triples;
-      Store.Indexed_store.add_all is triples;
-      let sort = List.sort Triple.compare in
-      Store.List_store.size ls = Store.Indexed_store.size is
-      && List.for_all
-           (fun (tr : Triple.t) ->
-             sort (Store.List_store.select ~subject:tr.subject ls)
-             = sort (Store.Indexed_store.select ~subject:tr.subject is)
-             && sort (Store.List_store.select ~predicate:tr.predicate ls)
-                = sort (Store.Indexed_store.select ~predicate:tr.predicate is)
-             && sort (Store.List_store.select ~object_:tr.object_ ls)
-                = sort (Store.Indexed_store.select ~object_:tr.object_ is))
-           triples)
-
-let prop_stores_agree_after_removal =
-  QCheck.Test.make ~name:"stores agree after removals" ~count:200
-    QCheck.(pair arbitrary_triples (list_of_size (QCheck.Gen.int_range 0 20) QCheck.small_nat))
-    (fun (triples, kill_indexes) ->
-      let ls = Store.List_store.create () in
-      let is = Store.Indexed_store.create () in
-      Store.List_store.add_all ls triples;
-      Store.Indexed_store.add_all is triples;
-      let arr = Array.of_list triples in
-      List.iter
-        (fun i ->
-          if Array.length arr > 0 then begin
-            let victim = arr.(i mod Array.length arr) in
-            ignore (Store.List_store.remove ls victim);
-            ignore (Store.Indexed_store.remove is victim)
-          end)
-        kill_indexes;
-      let sort = List.sort Triple.compare in
-      sort (Store.List_store.to_list ls)
-      = sort (Store.Indexed_store.to_list is)
-      && List.for_all
-           (fun (tr : Triple.t) ->
-             sort (Store.List_store.select ~subject:tr.subject ls)
-             = sort (Store.Indexed_store.select ~subject:tr.subject is))
-           triples)
-
-(* Cross-implementation conformance: a random interleaved add/remove
-   sequence must leave every registered implementation (list, indexed,
-   locked-indexed, sharded) with identical contents and identical answers
-   for every bound-position select/count/exists probe — including the
-   remove -> re-add cases that exercise stale pair-index cleaning. *)
+(* Cross-implementation conformance: a random interleaved add/remove/clear
+   sequence must leave every registered implementation (list, columnar,
+   sharded-columnar) with identical contents and identical answers for
+   every bound-position select/count/exists probe — including the
+   remove -> re-add cases that exercise stale pair-index cleaning and the
+   clear -> re-add cases that exercise the pair-index reset. *)
 let gen_op =
   QCheck.Gen.(
-    let* t = gen_triple in
-    let* add = bool in
-    return (if add then `Add t else `Remove t))
+    frequency
+      [
+        (20, map (fun t -> `Add t) gen_triple);
+        (20, map (fun t -> `Remove t) gen_triple);
+        (1, return `Clear);
+      ])
 
 let arbitrary_ops =
   QCheck.make
@@ -799,21 +639,37 @@ let arbitrary_ops =
         (List.map
            (function
              | `Add t -> "add " ^ Triple.to_string t
-             | `Remove t -> "remove " ^ Triple.to_string t)
+             | `Remove t -> "remove " ^ Triple.to_string t
+             | `Clear -> "clear")
            ops))
 
 let prop_all_stores_conform =
   QCheck.Test.make
     ~name:"all registered stores agree on random op sequences" ~count:150
     arbitrary_ops (fun ops ->
-      let probes = List.map (function `Add t | `Remove t -> t) ops in
+      let probes =
+        List.filter_map
+          (function `Add t | `Remove t -> Some t | `Clear -> None)
+          ops
+      in
       let snapshot (module S : Store.S) =
         let s = S.create () in
-        List.iter
-          (function
-            | `Add t -> ignore (S.add s t)
-            | `Remove t -> ignore (S.remove s t))
-          ops;
+        let step = function
+          | `Add (t : Triple.t) ->
+              let added = S.add s t in
+              (* A pair-bound probe right after each add builds the
+                 columnar pair indexes early, so later removes and
+                 clears run against maintained ones. *)
+              [
+                Bool.to_int added;
+                S.count ~subject:t.subject ~predicate:t.predicate s;
+              ]
+          | `Remove t -> [ Bool.to_int (S.remove s t) ]
+          | `Clear ->
+              S.clear s;
+              []
+        in
+        let trace = List.map step ops in
         let sort = List.sort Triple.compare in
         let per_probe (tr : Triple.t) =
           let selects =
@@ -844,7 +700,7 @@ let prop_all_stores_conform =
           in
           (selects, counts, exists)
         in
-        (S.size s, sort (S.to_list s), List.map per_probe probes)
+        (trace, S.size s, sort (S.to_list s), List.map per_probe probes)
       in
       match Store.implementations with
       | [] -> true
@@ -899,8 +755,6 @@ let prop_view_is_sound =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_stores_agree;
-      prop_stores_agree_after_removal;
       prop_all_stores_conform;
       prop_xml_roundtrip;
       prop_binary_roundtrip;
@@ -910,17 +764,10 @@ let props =
 
 let suite =
   [ ("triple basics", `Quick, test_triple_basics) ]
-  @ store_tests (module Store.List_store)
-  @ store_tests (module Store.Indexed_store)
-  @ store_tests (module Store.Locked_indexed)
-  @ store_tests (module Store.Sharded_store)
-  @ store_tests (module Store.Columnar_store)
-  @ store_tests (module Store.Sharded_columnar)
+  @ List.concat_map
+      (fun (_, impl) -> store_tests impl)
+      Store.implementations
   @ [
-      ("locked: parallel adds across domains", `Quick, test_parallel_adds);
-      ("locked: parallel mixed operations", `Quick, test_parallel_mixed_ops);
-      ("sharded: parallel adds across domains", `Quick,
-       test_sharded_parallel_adds);
       ("sharded: parallel mixed operations", `Quick,
        test_sharded_parallel_mixed_ops);
       ("sharded: pair indexes survive concurrent churn", `Quick,
@@ -932,8 +779,6 @@ let suite =
       ("atom: parallel intern converges", `Quick, test_atom_parallel_intern);
       ("columnar: compaction preserves contents", `Quick,
        test_columnar_compaction);
-      ("indexed: clear purges indexes (regression)", `Quick,
-       test_indexed_clear_purges_indexes);
       ("sharded-columnar: parallel adds", `Quick,
        test_sharded_columnar_parallel);
     ]
