@@ -36,6 +36,7 @@ let recorded : (string * string * float option) list ref = ref []
    same tests, same JSON shape; the numbers are noise, the exercise is
    the point. *)
 let smoke = ref false
+let mode_name smoke = if smoke then "smoke" else "full"
 
 let run_group ~name tests =
   Printf.printf "\n== %s ==\n%!" name;
@@ -73,9 +74,10 @@ let run_group ~name tests =
              recorded := (name, test_name, None) :: !recorded;
              Printf.printf "  %-58s (no estimate)\n%!" test_name)
 
-(* Minimal JSON writer (no external dependency): a flat array of
-   {"group", "name", "ns_per_run"} objects, one per bench test. The format
-   is documented in EXPERIMENTS.md ("Recording results"). *)
+(* Minimal JSON writer (no external dependency): a flat array whose
+   first object is {"mode": "smoke"|"full"}, then one {"group", "name",
+   "ns_per_run"} object per bench test. The format is documented in
+   EXPERIMENTS.md ("Recording results"). *)
 let write_json path =
   let escape s =
     let buf = Buffer.create (String.length s + 8) in
@@ -102,6 +104,7 @@ let write_json path =
   in
   let oc = open_out path in
   output_string oc "[\n";
+  Printf.fprintf oc "  {\"mode\": \"%s\"},\n" (mode_name !smoke);
   output_string oc (String.concat ",\n" (List.rev_map entry !recorded));
   output_string oc "\n]\n";
   close_out oc;
@@ -842,6 +845,11 @@ let resilience_tests () =
 
 (* ------------------------ E12: journaled persistence (WAL) ------------- *)
 
+let open_pad ?policy path =
+  fst
+    (Result.get_ok
+       (Si_slimpad.Slimpad.open_wal ?policy (Desktop.create ()) path))
+
 (* The cost of making ONE mutation durable, as the pad grows. The
    whole-file path re-serializes the entire store per save (O(pad));
    the WAL appends two framed records (O(change)). Each run toggles a
@@ -875,12 +883,9 @@ let wal_mutation_tests () =
   let journaled n =
     let path = Filename.temp_file "bench_wal" ".wal" in
     Sys.remove path;
-    let { Si_triple.Durable.durable; _ } =
-      Result.get_ok
-        (Si_triple.Durable.open_ ~policy:Si_wal.Log.Immediate path)
-    in
-    fill (Si_triple.Durable.trim durable) n;
-    let trim = Si_triple.Durable.trim durable in
+    let app = open_pad ~policy:Si_wal.Log.Immediate path in
+    let trim = Dmi.trim (Si_slimpad.Slimpad.dmi app) in
+    fill trim n;
     Test.make
       ~name:(Printf.sprintf "wal append per mutation @ %d" n)
       (staged (fun () ->
@@ -890,15 +895,14 @@ let wal_mutation_tests () =
   List.concat_map (fun n -> [ whole_file n; journaled n ]) sizes
 
 (* Recovery (open: read, verify CRCs, replay) against log length, and
-   compaction (snapshot + log truncate) against store size. *)
+   compaction (snapshot + log truncate) against store size, through the
+   journaled pad that production recovery opens. *)
 let wal_recovery_tests () =
   let log_of_length n =
     let path = Filename.temp_file "bench_recover" ".wal" in
     Sys.remove path;
-    let { Si_triple.Durable.durable; _ } =
-      Result.get_ok (Si_triple.Durable.open_ path)
-    in
-    let trim = Si_triple.Durable.trim durable in
+    let app = open_pad path in
+    let trim = Dmi.trim (Si_slimpad.Slimpad.dmi app) in
     for i = 1 to n do
       ignore
         (Trim.add trim
@@ -907,7 +911,7 @@ let wal_recovery_tests () =
               "scrapName"
               (Triple.literal (Printf.sprintf "scrap %d" i))))
     done;
-    Result.get_ok (Si_triple.Durable.close durable);
+    Result.get_ok (Si_slimpad.Slimpad.wal_close app);
     path
   in
   let recover n =
@@ -915,20 +919,13 @@ let wal_recovery_tests () =
     Test.make
       ~name:(Printf.sprintf "recovery (open+replay) @ %d records" n)
       (staged (fun () ->
-           let { Si_triple.Durable.durable; _ } =
-             Result.get_ok (Si_triple.Durable.open_ path)
-           in
-           Result.get_ok (Si_triple.Durable.close durable)))
+           Result.get_ok (Si_slimpad.Slimpad.wal_close (open_pad path))))
   in
   let compact n =
-    let path = log_of_length n in
-    let { Si_triple.Durable.durable; _ } =
-      Result.get_ok (Si_triple.Durable.open_ path)
-    in
+    let app = open_pad (log_of_length n) in
     Test.make
       ~name:(Printf.sprintf "compaction (checkpoint) @ %d triples" n)
-      (staged (fun () ->
-           Result.get_ok (Si_triple.Durable.checkpoint durable)))
+      (staged (fun () -> Result.get_ok (Si_slimpad.Slimpad.wal_compact app)))
   in
   List.concat_map (fun n -> [ recover n; compact n ]) [ 100; 1_000; 10_000 ]
 
@@ -1490,7 +1487,10 @@ let bundle_size_report () =
    x its old one fails the gate. A group median would hide a regression
    in one test among many, and would move when rows are only added or
    dropped. Tests present on only one side are reported as [new] or
-   [gone] but never fail (the bench suite changes over time). *)
+   [gone] but never fail (the bench suite changes over time). Smoke
+   runs measure 10k-sized inputs under a tiny quota, so a comparison
+   across modes is refused (exit 2). A file without a mode object is a
+   full run, as is every baseline recorded before the field existed. *)
 let compare_runs ~threshold ~report_path old_path new_path =
   let load path =
     let contents = In_channel.with_open_bin path In_channel.input_all in
@@ -1498,6 +1498,12 @@ let compare_runs ~threshold ~report_path old_path new_path =
     | Error e -> failwith (Printf.sprintf "%s: %s" path e)
     | Ok json ->
         let entries = Option.value (Si_obs.Json.list json) ~default:[] in
+        let mode =
+          List.find_map
+            (fun entry ->
+              Option.bind (Si_obs.Json.mem "mode" entry) Si_obs.Json.str)
+            entries
+        in
         let tests = Hashtbl.create 256 in
         List.iter
           (fun entry ->
@@ -1510,9 +1516,17 @@ let compare_runs ~threshold ~report_path old_path new_path =
                 Hashtbl.replace tests name ns
             | _ -> ())
           entries;
-        tests
+        (Option.value mode ~default:(mode_name false), tests)
   in
-  let old_tests = load old_path and new_tests = load new_path in
+  let old_mode, old_tests = load old_path
+  and new_mode, new_tests = load new_path in
+  if old_mode <> new_mode then begin
+    Printf.printf
+      "bench comparison refused: %s is a %s run, %s is a %s run; compare \
+       smoke runs only with smoke baselines\n"
+      old_path old_mode new_path new_mode;
+    exit 2
+  end;
   let names tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
   let all = List.sort_uniq compare (names old_tests @ names new_tests) in
   let buf = Buffer.create 4096 in

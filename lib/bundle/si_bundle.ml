@@ -11,6 +11,7 @@
    never blocks the rest). *)
 
 module Slimpad = Si_slimpad.Slimpad
+module Pad_format = Si_slimpad.Pad_format
 module Dmi = Si_slim.Dmi
 module Trim = Si_triple.Trim
 module Manager = Si_mark.Manager
@@ -37,14 +38,11 @@ let timed hist ~op f =
 
 (* --- section names --------------------------------------------------- *)
 
+(* The pad's own sections (atoms, triples, marks, journal, watermark)
+   are {!Pad_format}'s; these are the bundle's additions. *)
 let meta_section = "bundle-meta"
-let atoms_section = "atoms"
-let triples_section = "triples"
-let marks_section = "marks"
-let journal_section = "journal"
 let excerpts_section = "excerpts"
 let report_section = "report"
-let replication_section = "replication"
 let base_prefix = "base:"
 let format_tag = "sibundle"
 
@@ -175,7 +173,7 @@ let base_targets marks =
     marks
 
 let capture_sections ?(workspace_id = "") ?bases app =
-  let trim = Dmi.trim (Slimpad.dmi app) in
+  let dmi = Slimpad.dmi app in
   let marks_mgr = Slimpad.marks app in
   let marks = Manager.marks marks_mgr in
   let problems = ref [] in
@@ -199,7 +197,7 @@ let capture_sections ?(workspace_id = "") ?bases app =
   let problems = List.rev !problems in
   let report =
     {
-      captured_triples = Trim.size trim;
+      captured_triples = Trim.size (Dmi.trim dmi);
       captured_marks = List.length marks;
       captured_bases = List.length base_sections;
       capture_problems = problems;
@@ -209,26 +207,14 @@ let capture_sections ?(workspace_id = "") ?bases app =
     ( meta_section,
       meta_payload ~workspace_id ~triples:report.captured_triples
         ~marks:report.captured_marks ~bases:report.captured_bases )
-    :: Trim.binary_sections trim
-    @ [
-        (marks_section, Xml.Print.to_string (Manager.to_xml marks_mgr));
-        ( journal_section,
-          Xml.Print.to_string (Dmi.journal_to_xml (Slimpad.dmi app)) );
-      ]
+    :: Pad_format.sections dmi marks_mgr
     @ (match excerpts_payload marks with
       | [] -> []
       | pairs -> [ (excerpts_section, Record.encode_fields pairs) ])
     @ (match problems with
       | [] -> []
       | ps -> [ (report_section, report_payload ps) ])
-    @ (match Slimpad.rep_meta app with
-      | None -> []
-      | Some (term, seq) ->
-          [
-            ( replication_section,
-              Record.encode_fields [ string_of_int term; string_of_int seq ]
-            );
-          ])
+    @ Pad_format.watermark_sections (Slimpad.rep_meta app)
     @ base_sections
   in
   (sections, report)
@@ -255,17 +241,6 @@ type meta = {
   base_count : int;
   watermark : (int * int) option;
 }
-
-let watermark_of sections =
-  match Wbin.section replication_section sections with
-  | None -> None
-  | Some raw -> (
-      match Record.decode_fields raw with
-      | Ok [ term; seq ] -> (
-          match (int_of_string_opt term, int_of_string_opt seq) with
-          | Some term, Some seq -> Some (term, seq)
-          | _ -> None)
-      | Ok _ | Error _ -> None)
 
 let meta_of_sections sections =
   match Wbin.section meta_section sections with
@@ -302,7 +277,7 @@ let meta_of_sections sections =
                       triple_count;
                       mark_count;
                       base_count;
-                      watermark = watermark_of sections;
+                      watermark = Pad_format.watermark sections;
                     }
             | _ -> Error "bundle-meta: non-numeric counts")
       | Ok _ -> Error "bundle-meta: expected six fields")
@@ -348,18 +323,23 @@ let report_of bytes =
 
 (* Every <mark> child decoded on its own, so one malformed mark is one
    problem, not a lost section (Manager.of_xml is all-or-nothing by
-   design; bundles want the salvageable rest). *)
-let marks_of_section raw =
-  match Xml.Parse.node raw with
-  | Error e -> Error ("marks: " ^ Xml.Parse.error_to_string e)
-  | Ok root -> (
+   design; bundles want the salvageable rest). A missing or unparsable
+   section is one problem too. *)
+let iter_marks sections ~flag f =
+  let section = Pad_format.marks_section in
+  match Option.map Xml.Parse.node (Wbin.section section sections) with
+  | None -> flag section "section missing"
+  | Some (Error e) -> flag section ("marks: " ^ Xml.Parse.error_to_string e)
+  | Some (Ok root) -> (
       match Xml.Node.strip_whitespace root with
-      | Xml.Node.Element { name = "marks"; _ } as r ->
-          Ok
-            (List.map
-               (fun node -> (node, Mark.of_xml node))
-               (Xml.Node.find_children "mark" r))
-      | _ -> Error "marks: expected a <marks> root element")
+      | Xml.Node.Element { name; _ } as r when name = section ->
+          List.iter
+            (fun node ->
+              match Mark.of_xml node with
+              | Ok m -> f m
+              | Error e -> flag section e)
+            (Xml.Node.find_children "mark" r)
+      | _ -> flag section "marks: expected a <marks> root element")
 
 let excerpt_table_of raw =
   match Record.decode_fields raw with
@@ -409,37 +389,26 @@ let verify bytes =
           let flag ~m ~source reason =
             problems := problem ~m ~source reason :: !problems
           in
-          (match Si_triple.Trim.triples_of_binary_sections sections with
+          let flag_section name reason = flag ~m:name ~source:name reason in
+          (match Trim.triples_of_binary_sections sections with
           | Ok _ -> ()
-          | Error e -> flag ~m:"triples" ~source:triples_section e);
+          | Error e -> flag_section Pad_format.triples_section e);
           let mark_ids = Hashtbl.create 32 in
-          (match Wbin.section marks_section sections with
-          | None -> flag ~m:"marks" ~source:marks_section "section missing"
-          | Some raw -> (
-              match marks_of_section raw with
-              | Error e -> flag ~m:"marks" ~source:marks_section e
-              | Ok marks ->
-                  List.iter
-                    (fun (_, decoded) ->
-                      match decoded with
-                      | Ok (m : Mark.t) ->
-                          Hashtbl.replace mark_ids m.mark_id ()
-                      | Error e ->
-                          flag ~m:"marks" ~source:marks_section e)
-                    marks));
-          (match Wbin.section journal_section sections with
+          iter_marks sections ~flag:flag_section (fun m ->
+              Hashtbl.replace mark_ids m.Mark.mark_id ());
+          (match Wbin.section Pad_format.journal_section sections with
           | None -> ()
           | Some raw -> (
               match Xml.Parse.node raw with
               | Ok _ -> ()
               | Error e ->
-                  flag ~m:"journal" ~source:journal_section
+                  flag_section Pad_format.journal_section
                     (Xml.Parse.error_to_string e)));
           (match Wbin.section excerpts_section sections with
           | None -> ()
           | Some raw -> (
               match excerpt_table_of raw with
-              | Error e -> flag ~m:"excerpts" ~source:excerpts_section e
+              | Error e -> flag_section excerpts_section e
               | Ok table ->
                   Hashtbl.iter
                     (fun id _ ->
@@ -453,7 +422,7 @@ let verify bytes =
           | Some raw -> (
               match problems_of_report raw with
               | Ok _ -> ()
-              | Error e -> flag ~m:"report" ~source:report_section e));
+              | Error e -> flag_section report_section e));
           List.iter
             (fun (section, _kind, _name, payload) ->
               match Record.decode_fields payload with
@@ -474,33 +443,31 @@ let verify bytes =
 (* Atom ids are section-local and triples sorted, so equal pads hash
    equal on any machine or compiler version; journal, metadata,
    watermark, and base payloads deliberately stay outside the hash. *)
-let digest_of ~atoms ~triples ~marks =
-  Digest.to_hex
-    (Digest.string (atoms ^ "\x00" ^ triples ^ "\x00" ^ marks))
+let digest_of sections =
+  let section name = Wbin.section name sections in
+  match
+    Pad_format.
+      (section atoms_section, section triples_section, section marks_section)
+  with
+  | Some atoms, Some triples, Some marks ->
+      Ok
+        (Digest.to_hex
+           (Digest.string (atoms ^ "\x00" ^ triples ^ "\x00" ^ marks)))
+  | _ -> Error "bundle: missing atoms/triples/marks sections"
 
 let content_digest bytes =
   match Wbin.decode bytes with
   | Error e -> Error ("bundle: " ^ e)
-  | Ok sections -> (
-      match
-        ( Wbin.section atoms_section sections,
-          Wbin.section triples_section sections,
-          Wbin.section marks_section sections )
-      with
-      | Some atoms, Some triples, Some marks ->
-          Ok (digest_of ~atoms ~triples ~marks)
-      | _ -> Error "bundle: missing atoms/triples/marks sections")
+  | Ok sections -> digest_of sections
 
 let app_digest app =
-  let sections = Trim.binary_sections (Dmi.trim (Slimpad.dmi app)) in
-  let atoms =
-    Option.value (Wbin.section atoms_section sections) ~default:""
-  in
-  let triples =
-    Option.value (Wbin.section triples_section sections) ~default:""
-  in
-  let marks = Xml.Print.to_string (Manager.to_xml (Slimpad.marks app)) in
-  digest_of ~atoms ~triples ~marks
+  Result.get_ok
+    (digest_of
+       (Trim.binary_sections (Dmi.trim (Slimpad.dmi app))
+       @ [
+           ( Pad_format.marks_section,
+             Xml.Print.to_string (Manager.to_xml (Slimpad.marks app)) );
+         ]))
 
 (* --- apply ----------------------------------------------------------- *)
 
@@ -509,7 +476,7 @@ let apply ?(excerpts = false) ?bases app bytes =
       match decode bytes with
       | Error _ as e -> e
       | Ok (_meta, sections) -> (
-          match Si_triple.Trim.triples_of_binary_sections sections with
+          match Trim.triples_of_binary_sections sections with
           | Error e -> Error ("bundle: " ^ e)
           | Ok triples ->
               Si_obs.Counter.incr apply_count;
@@ -518,6 +485,7 @@ let apply ?(excerpts = false) ?bases app bytes =
               let flag ~m ~source reason =
                 problems := problem ~m ~source reason :: !problems
               in
+              let flag_section name reason = flag ~m:name ~source:name reason in
               let trim = Dmi.trim (Slimpad.dmi app) in
               let added = ref 0 and dup = ref 0 in
               List.iter
@@ -532,48 +500,32 @@ let apply ?(excerpts = false) ?bases app bytes =
                       match excerpt_table_of raw with
                       | Ok table -> table
                       | Error e ->
-                          flag ~m:"excerpts" ~source:excerpts_section e;
+                          flag_section excerpts_section e;
                           Hashtbl.create 0)
               in
               let mgr = Slimpad.marks app in
               let installed = ref 0
               and skipped = ref 0
               and restored_exc = ref 0 in
-              (match Wbin.section marks_section sections with
-              | None -> flag ~m:"marks" ~source:marks_section "section missing"
-              | Some raw -> (
-                  match marks_of_section raw with
-                  | Error e -> flag ~m:"marks" ~source:marks_section e
-                  | Ok marks ->
-                      List.iter
-                        (fun (_, decoded) ->
-                          match decoded with
-                          | Error e ->
-                              flag ~m:"marks" ~source:marks_section e
-                          | Ok (m : Mark.t) -> (
-                              match Manager.mark mgr m.mark_id with
-                              | Some _ ->
-                                  (* Install-only: the target's mark
-                                     wins, excerpt included. *)
-                                  incr skipped
-                              | None ->
-                                  let excerpt =
-                                    if not excerpts then ""
-                                    else
-                                      match
-                                        Hashtbl.find_opt excerpt_table
-                                          m.mark_id
-                                      with
-                                      | Some e -> e
-                                      | None -> m.excerpt
-                                  in
-                                  if excerpt <> "" then incr restored_exc;
-                                  Manager.put_mark mgr
-                                    (Mark.make ~id:m.mark_id
-                                       ~mark_type:m.mark_type
-                                       ~fields:m.fields ~excerpt ());
-                                  incr installed))
-                        marks));
+              iter_marks sections ~flag:flag_section (fun (m : Mark.t) ->
+                  match Manager.mark mgr m.mark_id with
+                  | Some _ ->
+                      (* Install-only: the target's mark wins, excerpt
+                         included. *)
+                      incr skipped
+                  | None ->
+                      let excerpt =
+                        if not excerpts then ""
+                        else
+                          match Hashtbl.find_opt excerpt_table m.mark_id with
+                          | Some e -> e
+                          | None -> m.excerpt
+                      in
+                      if excerpt <> "" then incr restored_exc;
+                      Manager.put_mark mgr
+                        (Mark.make ~id:m.mark_id ~mark_type:m.mark_type
+                           ~fields:m.fields ~excerpt ());
+                      incr installed);
               let restored_bases = ref 0 and skipped_bases = ref 0 in
               (match bases with
               | None -> ()

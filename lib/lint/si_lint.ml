@@ -1,6 +1,5 @@
 module Trim = Si_triple.Trim
 module Triple = Si_triple.Triple
-module Durable = Si_triple.Durable
 module Model = Si_metamodel.Model
 module Validate = Si_metamodel.Validate
 module Vocab = Si_metamodel.Vocab
@@ -12,6 +11,7 @@ module Bundle_model = Si_slim.Bundle_model
 module Log = Si_wal.Log
 module Record = Si_wal.Record
 module Xml = Si_xmlk
+module Pad_format = Si_slimpad.Pad_format
 
 type severity = Error | Warning | Info
 
@@ -542,54 +542,27 @@ let rule_mark_quarantined =
 
 (* ----------------------------------------------------------- wal layer *)
 
-(* Offline classification of one record payload against the three
-   stream codecs slimpad interleaves (triple ops, marks, journal). *)
+(* Offline classification of one record payload: the same decoder
+   recovery runs, so lint and recovery report a bad record in the same
+   words. *)
 let classify_record payload =
-  match Record.decode_fields payload with
-  | Error e -> Some ("undecodable record: " ^ e)
-  | Ok fields -> (
-      match fields with
-      | ("+" | "-" | "x") :: _ -> (
-          match Durable.decode_op payload with
-          | Ok _ -> None
-          | Error e -> Some ("bad triple record: " ^ e))
-      | tag :: _ when tag = Mark.record_tag -> (
-          match Mark.of_record payload with
-          | Ok _ -> None
-          | Error e -> Some ("bad mark record: " ^ e))
-      | [ "m-"; _ ] -> None
-      | "m-" :: _ -> Some "bad mark-removal record: expected one mark id"
-      | tag :: _ when tag = Dmi.journal_record_tag -> (
-          match Dmi.journal_entry_of_record payload with
-          | Ok _ -> None
-          | Error e -> Some ("bad journal record: " ^ e))
-      | [ "jx" ] -> None
-      | "jx" :: _ -> Some "bad journal-clear record: expected no arguments"
-      | [ "jt"; n ] ->
-          if int_of_string_opt n = None then
-            Some (Printf.sprintf "bad journal truncation seq %S" n)
-          else None
-      | "jt" :: _ -> Some "bad journal-truncation record: expected one seq"
-      | tag :: _ -> Some (Printf.sprintf "unknown record tag %S" tag)
-      | [] -> Some "empty record")
+  match Pad_format.decode payload with Ok _ -> None | Error e -> Some e
 
 (* Journal seq of a record, for the monotonicity check: [`Entry seq],
    [`Reset_to seq], or [`Other]. *)
 let journal_effect payload =
-  match Record.decode_fields payload with
-  | Error _ -> `Other
-  | Ok fields -> (
-      match fields with
-      | tag :: _ when tag = Dmi.journal_record_tag -> (
-          match Dmi.journal_entry_of_record payload with
-          | Ok e -> `Entry e.Dmi.seq
-          | Error _ -> `Other)
-      | [ "jx" ] -> `Reset_to 0
-      | [ "jt"; n ] -> (
-          match int_of_string_opt n with
-          | Some n -> `Reset_to n
-          | None -> `Other)
-      | _ -> `Other)
+  match Pad_format.decode payload with
+  | Ok (Pad_format.Journal_entry e) -> `Entry e.Dmi.seq
+  | Ok Pad_format.Journal_cleared -> `Reset_to 0
+  | Ok (Pad_format.Journal_truncated_to n) -> `Reset_to n
+  | Ok _ | Error _ -> `Other
+
+(* A well-framed snapshot container without its triple data: container
+   shape, so SL305's finding and never SL304's. *)
+let lacks_triples sections =
+  List.exists
+    (fun name -> Si_wal.Binary.section name sections = None)
+    Pad_format.[ atoms_section; triples_section ]
 
 let with_dump ctx f =
   match ctx.wal_path with
@@ -779,13 +752,7 @@ let rule_wal_stream =
                          triple sections that do not decode. *)
                       match Si_wal.Binary.decode payload with
                       | Error _ -> []
-                      | Ok sections
-                        when Si_wal.Binary.section "atoms" sections = None
-                             || Si_wal.Binary.section "triples" sections
-                                = None ->
-                          (* Missing sections are container shape — also
-                             SL305's. *)
-                          []
+                      | Ok sections when lacks_triples sections -> []
                       | Ok sections -> (
                           match Trim.triples_of_binary_sections sections with
                           | Ok _ -> []
@@ -826,8 +793,10 @@ let rule_wal_stream =
                           | Xml.Node.Element { name = "slimpad-store"; _ } as
                             r -> (
                               match
-                                ( Xml.Node.find_child "triples" r,
-                                  Xml.Node.find_child "marks" r )
+                                ( Xml.Node.find_child
+                                    Pad_format.triples_section r,
+                                  Xml.Node.find_child
+                                    Pad_format.marks_section r )
                               with
                               | Some triples, Some _ -> (
                                   match Trim.triples_of_xml triples with
@@ -887,14 +856,10 @@ let rule_wal_binary_snapshot =
                     else
                       match Si_wal.Binary.decode payload with
                       | Ok sections ->
-                          let size name =
-                            Option.map String.length
-                              (Si_wal.Binary.section name sections)
-                          in
                           (* The header decodes; the one remaining shape
                              error a container can carry is a snapshot
                              without its triple data. *)
-                          if size "atoms" = None || size "triples" = None then
+                          if lacks_triples sections then
                             [
                               diag rule ~provenance:snap_prov
                                 "container misses its atoms or triples \

@@ -53,31 +53,6 @@ let apply_behaviour behaviour res =
   | Extract_content -> res.res_excerpt
   | Display_in_place -> res.res_display
 
-(* WAL record encoding (shared field-list codec from Si_wal.Record).
-   Layout: tag, id, type, excerpt, then alternating field name/value. *)
-
-let record_tag = "m+"
-
-let to_record t =
-  Si_wal.Record.encode_fields
-    (record_tag :: t.mark_id :: t.mark_type :: t.excerpt
-    :: List.concat_map (fun (k, v) -> [ k; v ]) t.fields)
-
-let of_record payload =
-  match Si_wal.Record.decode_fields payload with
-  | Error _ as e -> e
-  | Ok (tag :: id :: mark_type :: excerpt :: rest) when tag = record_tag ->
-      let rec pairs acc = function
-        | [] -> Ok (List.rev acc)
-        | k :: v :: rest -> pairs ((k, v) :: acc) rest
-        | [ k ] -> Error (Printf.sprintf "mark field %S has no value" k)
-      in
-      Result.map
-        (fun fields -> make ~id ~mark_type ~fields ~excerpt ())
-        (pairs [] rest)
-  | Ok (tag :: _) -> Error (Printf.sprintf "not a mark record (tag %S)" tag)
-  | Ok _ -> Error "truncated mark record"
-
 let to_xml t =
   Xml.Node.element "mark"
     ~attrs:[ ("id", t.mark_id); ("type", t.mark_type) ]

@@ -60,15 +60,3 @@ val apply_behaviour : behaviour -> resolution -> string
 
 val to_xml : t -> Si_xmlk.Node.t
 val of_xml : Si_xmlk.Node.t -> (t, string) result
-
-(** {1 WAL record encoding}
-
-    Marks travel through the slimpad write-ahead log as field-list
-    records ({!Si_wal.Record.encode_fields}) tagged {!record_tag}, so
-    they interleave with triple and journal records in one stream. *)
-
-val record_tag : string
-(** ["m+"] — the first field of every encoded mark record. *)
-
-val to_record : t -> string
-val of_record : string -> (t, string) result

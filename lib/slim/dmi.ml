@@ -92,26 +92,6 @@ let truncate_journal_to t seq =
   t.journal_rev <- List.filter (fun e -> e.seq <= seq) t.journal_rev;
   t.journal_seq <- seq
 
-(* WAL record codec for journal entries, built on the same field-list
-   encoding as every other Si_wal payload. *)
-
-let journal_record_tag = "j"
-
-let journal_entry_to_record e =
-  Si_wal.Record.encode_fields
-    [ journal_record_tag; string_of_int e.seq; e.op; e.target; e.detail ]
-
-let journal_entry_of_record payload =
-  match Si_wal.Record.decode_fields payload with
-  | Error _ as e -> e
-  | Ok [ tag; seq; op; target; detail ] when tag = journal_record_tag -> (
-      match int_of_string_opt seq with
-      | Some seq -> Ok { seq; op; target; detail }
-      | None -> Error (Printf.sprintf "journal record has bad seq %S" seq))
-  | Ok (tag :: _) ->
-      Error (Printf.sprintf "not a journal record (tag %S)" tag)
-  | Ok [] -> Error "empty journal record"
-
 (* ------------------------------------------------------------------ ids *)
 
 let pad_id (Pad id) = id

@@ -210,7 +210,7 @@ val load_journal : t -> Si_xmlk.Node.t -> (unit, string) result
     element (as written by {!journal_to_xml}); later operations append
     after the loaded history. *)
 
-(** {2 Journal observation and WAL encoding}
+(** {2 Journal observation}
 
     Journaled persistence subscribes to journal changes the same way it
     subscribes to triple mutations ({!Si_triple.Trim.on_mutate}):
@@ -235,14 +235,6 @@ val truncate_journal_to : t -> int -> unit
 (** Replay-side inverse of [Journal_truncated_to]: drop entries with
     [seq] greater than the argument. Does not notify {!on_journal}. *)
 
-val journal_record_tag : string
-(** ["j"] — first field of an encoded journal entry record. *)
-
-val journal_entry_to_record : journal_entry -> string
-(** Encode for the write-ahead log, using the same
-    {!Si_wal.Record.encode_fields} codec as triple and mark records. *)
-
-val journal_entry_of_record : string -> (journal_entry, string) result
 
 (** {1 Conformance & persistence} *)
 

@@ -4,9 +4,7 @@ module Manager = Si_mark.Manager
 module Desktop = Si_mark.Desktop
 module Resilient = Si_mark.Resilient
 module Xml = Si_xmlk
-module Durable = Si_triple.Durable
 module Log = Si_wal.Log
-module Record = Si_wal.Record
 
 let recovery_warning_count = Si_obs.Registry.counter "slimpad.recovery_warning"
 let wal_replayed_count = Si_obs.Registry.counter "slimpad.wal_replayed"
@@ -417,8 +415,8 @@ let of_store_root ?store ?resilient ?wrap desktop root =
   match root with
   | Xml.Node.Element { name = "slimpad-store"; _ } -> (
       match
-        ( Xml.Node.find_child "triples" root,
-          Xml.Node.find_child "marks" root )
+        ( Xml.Node.find_child Pad_format.triples_section root,
+          Xml.Node.find_child Pad_format.marks_section root )
       with
       | Some triples, Some marks_xml -> (
           match Dmi.of_xml ?store triples with
@@ -430,7 +428,9 @@ let of_store_root ?store ?resilient ?wrap desktop root =
               | Error _ as e -> e
               | Ok () ->
                   (* Older store files have no journal section. *)
-                  (match Xml.Node.find_child "journal" root with
+                  (match
+                     Xml.Node.find_child Pad_format.journal_section root
+                   with
                   | Some j -> (
                       match Dmi.load_journal dmi j with
                       | Ok () -> ()
@@ -453,110 +453,47 @@ let load ?store ?resilient ?wrap desktop path =
 
 (* ------------------------------------------------------ journaled mode *)
 
-(* One WAL carries three interleaved record streams, all in the shared
-   field-list encoding and distinguished by their first field: triple
-   ops ("+" / "-" / "x", the Durable codec), marks ("m+" / "m-"), and
-   journal events ("j" / "jx" / "jt"). Snapshots are cut in the binary
-   container form (see below); recovery sniffs the payload, so a log
-   whose last snapshot is an old <slimpad-store> document replays
-   unchanged. *)
+(* One WAL carries the pad's three interleaved record streams (triple
+   ops, marks, journal events), and its snapshots are cut in the binary
+   container form; both formats are {!Pad_format}'s. Recovery sniffs
+   the snapshot payload, so a log whose last snapshot is an old
+   <slimpad-store> document replays unchanged. *)
 
 module Wbin = Si_wal.Binary
 
-(* Binary snapshot layout: the [atoms] + [triples] sections of the
-   compact Trim codec — triples dominate snapshot size and recovery
-   time — plus [marks] and [journal] sections whose payloads are the
-   same XML subtrees the whole-file path writes, since those streams
-   are small and keep their XML codecs. *)
-let marks_section = "marks"
-let journal_section = "journal"
-
-(* Replication metadata rides inside the WAL snapshot as one more
+(* Replication metadata rides inside the WAL snapshot as its watermark
    section — (term, stream sequence number) at the moment the snapshot
    was cut — so it is exactly as durable and as atomic as compaction
    itself. The current stream position is always [meta seq + records
    appended since the snapshot]. *)
-let replication_section = "replication"
+let snapshot_with_meta t meta =
+  Wbin.encode
+    (Pad_format.sections t.dmi t.marks @ Pad_format.watermark_sections meta)
 
-let binary_sections t =
-  Si_triple.Trim.binary_sections (Dmi.trim t.dmi)
-  @ [
-      (marks_section, Xml.Print.to_string (Manager.to_xml t.marks));
-      (journal_section, Xml.Print.to_string (Dmi.journal_to_xml t.dmi));
-    ]
-
-let binary_snapshot t = Wbin.encode (binary_sections t)
-
-let snapshot_with_meta t = function
-  | None -> binary_snapshot t
-  | Some (term, seq) ->
-      Wbin.encode
-        (binary_sections t
-        @ [
-            ( replication_section,
-              Record.encode_fields [ string_of_int term; string_of_int seq ]
-            );
-          ])
+let binary_snapshot t = snapshot_with_meta t None
 
 let rep_meta_of_payload payload =
   if not (Wbin.is_binary payload) then None
   else
     match Wbin.decode payload with
     | Error _ -> None
-    | Ok sections -> (
-        match Wbin.section replication_section sections with
-        | None -> None
-        | Some raw -> (
-            match Record.decode_fields raw with
-            | Ok [ term; seq ] -> (
-                match (int_of_string_opt term, int_of_string_opt seq) with
-                | Some term, Some seq -> Some (term, seq)
-                | _ -> None)
-            | Ok _ | Error _ -> None))
+    | Ok sections -> Pad_format.watermark sections
 
 let of_binary_snapshot ?store ?resilient ?wrap desktop payload =
   match Wbin.decode payload with
   | Error e -> Error ("binary snapshot: " ^ e)
-  | Ok sections -> (
-      match Si_triple.Trim.triples_of_binary_sections sections with
-      | Error e -> Error ("binary snapshot: " ^ e)
-      | Ok triples -> (
-          let trim = Si_triple.Trim.create ?store () in
-          Si_triple.Trim.add_all trim triples;
-          let dmi = Dmi.of_trim trim in
-          let marks = Manager.create () in
-          Desktop.install_modules ?wrap desktop marks;
-          let marks_result =
-            match Wbin.section marks_section sections with
-            | None -> Ok ()
-            | Some xml -> (
-                match Xml.Parse.node xml with
-                | Error e -> Error (Xml.Parse.error_to_string e)
-                | Ok root ->
-                    Manager.of_xml marks (Xml.Node.strip_whitespace root))
-          in
-          match marks_result with
-          | Error _ as e -> e
-          | Ok () ->
-              (* Like [of_store_root]: a journal that fails to parse is
-                 dropped, not fatal. *)
-              (match Wbin.section journal_section sections with
-              | None -> ()
-              | Some xml -> (
-                  match Xml.Parse.node xml with
-                  | Error _ -> ()
-                  | Ok root -> (
-                      match
-                        Dmi.load_journal dmi (Xml.Node.strip_whitespace root)
-                      with
-                      | Ok () | Error _ -> ())));
-              Ok
-                {
-                  dmi; marks; desktop;
-                  resilient = make_resilient resilient;
-                  wal = None; shipper = None; ship_async = None;
-                  replica = None; rep_recovered = None;
-                }))
+  | Ok sections ->
+      let marks = Manager.create () in
+      Desktop.install_modules ?wrap desktop marks;
+      Result.map
+        (fun dmi ->
+          {
+            dmi; marks; desktop;
+            resilient = make_resilient resilient;
+            wal = None; shipper = None; ship_async = None;
+            replica = None; rep_recovered = None;
+          })
+        (Pad_format.restore ?store marks sections)
 
 (* Format sniffer: every snapshot payload, wherever it came from, goes
    through here, so pads snapshotted before the binary codec load
@@ -585,46 +522,12 @@ let wal_append st payload =
         if st.trouble = None then st.trouble <- Some (Log.error_to_string e)
 
 let install_hooks t st =
-  Si_triple.Trim.on_mutate (Dmi.trim t.dmi) (fun op ->
-      wal_append st (Durable.encode_op op));
-  Manager.on_change t.marks (function
-    | Manager.Mark_put m -> wal_append st (Mark.to_record m)
-    | Manager.Mark_removed id ->
-        wal_append st (Record.encode_fields [ "m-"; id ]));
-  Dmi.on_journal t.dmi (function
-    | Dmi.Journal_logged e -> wal_append st (Dmi.journal_entry_to_record e)
-    | Dmi.Journal_cleared -> wal_append st (Record.encode_fields [ "jx" ])
-    | Dmi.Journal_truncated_to n ->
-        wal_append st (Record.encode_fields [ "jt"; string_of_int n ]));
+  Pad_format.observe t.dmi t.marks (fun r ->
+      wal_append st (Pad_format.encode r));
   t.wal <- Some st
 
 let apply_record t payload =
-  match Record.decode_fields payload with
-  | Error e -> Error (Printf.sprintf "undecodable record: %s" e)
-  | Ok (("+" | "-" | "x") :: _) ->
-      Result.map
-        (Durable.apply_op (Dmi.trim t.dmi))
-        (Durable.decode_op payload)
-  | Ok (tag :: _) when tag = Mark.record_tag ->
-      Result.map (Manager.put_mark t.marks) (Mark.of_record payload)
-  | Ok [ "m-"; id ] ->
-      ignore (Manager.remove_mark t.marks id);
-      Ok ()
-  | Ok (tag :: _) when tag = Dmi.journal_record_tag ->
-      Result.map
-        (Dmi.append_journal_entry t.dmi)
-        (Dmi.journal_entry_of_record payload)
-  | Ok [ "jx" ] ->
-      Dmi.clear_journal t.dmi;
-      Ok ()
-  | Ok [ "jt"; n ] -> (
-      match int_of_string_opt n with
-      | Some n ->
-          Dmi.truncate_journal_to t.dmi n;
-          Ok ()
-      | None -> Error (Printf.sprintf "bad journal truncation seq %S" n))
-  | Ok (tag :: _) -> Error (Printf.sprintf "unknown record tag %S" tag)
-  | Ok [] -> Error "empty record"
+  Result.map (Pad_format.apply t.dmi t.marks) (Pad_format.decode payload)
 
 type wal_recovery = {
   replayed : int;

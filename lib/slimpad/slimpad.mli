@@ -155,12 +155,10 @@ val import_pad :
     The incremental alternative to {!save}: every mutation — triple
     operations, mark changes, journal events — is appended to a
     {!Si_wal.Log} as it happens, so persisting is O(changes), not
-    O(pad size). One log interleaves the three record streams in the
-    shared {!Si_wal.Record.encode_fields} codec (triple ops use the
-    {!Si_triple.Durable} tags, marks {!Si_mark.Mark.record_tag}, journal
-    events {!Si_slim.Dmi.journal_record_tag}); the snapshot payload is
-    the same [<slimpad-store>] document {!save} writes, so the two
-    persistence formats share both codecs end to end. *)
+    O(pad size). One log interleaves the three record streams, and
+    compaction cuts a binary snapshot; {!Pad_format} owns both formats.
+    A log whose last snapshot is a pre-binary [<slimpad-store>]
+    document ({!save}'s format) still recovers. *)
 
 type persistence = Whole_file | Journaled
 

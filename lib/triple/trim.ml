@@ -325,7 +325,7 @@ module Wbin = Si_wal.Binary
 let atoms_section = "atoms"
 let triples_section = "triples"
 
-let binary_sections_of_triples triples =
+let binary_sections t =
   (* The rows must come out in {!Triple.compare} order (equal stores →
      equal bytes). Sorting the materialized triples directly is cheap
      precisely because the store interns: triples out of the default
@@ -336,6 +336,7 @@ let binary_sections_of_triples triples =
      equal-predicate runs. Everything here is sized to this snapshot,
      never to the process-wide atom table (a long-lived process
      accumulates atoms from every store it ever touched). *)
+  let triples = to_list t in
   let sorted = List.sort Triple.compare triples in
   let n = List.length triples in
   (* Local ids are assigned in first-occurrence order over the sorted
@@ -380,8 +381,6 @@ let binary_sections_of_triples triples =
     (atoms_section, Buffer.contents atoms);
     (triples_section, Buffer.contents body);
   ]
-
-let binary_sections t = binary_sections_of_triples (to_list t)
 
 let atoms_of_section s =
   let total = String.length s in
@@ -480,49 +479,46 @@ let triples_of_binary_sections sections =
 
 let to_binary t = Wbin.encode (binary_sections t)
 
-let triples_of_binary payload =
-  match Wbin.decode payload with
-  | Error e -> Error ("binary snapshot: " ^ e)
-  | Ok sections -> triples_of_binary_sections sections
+let of_binary_sections ?store sections =
+  match store with
+  | Some _ ->
+      Result.map
+        (fun triples ->
+          let t = create ?store () in
+          add_all t triples;
+          t)
+        (triples_of_binary_sections sections)
+  | None -> (
+      (* Default (columnar) store: intern each distinct atom once and
+         decode the rows straight into global-id columns the store takes
+         ownership of — recovery never materializes a triple list,
+         allocates a per-row tuple, or probes a string hashtable per
+         row. *)
+      match decode_sections sections with
+      | Error e -> Error e
+      | Ok (atoms, body, count) -> (
+          let glob = Array.map Atom.intern atoms in
+          let subs = Array.make count 0 in
+          let preds = Array.make count 0 in
+          let objs = Array.make count 0 in
+          let fill row s p packed =
+            subs.(row) <- glob.(s);
+            preds.(row) <- glob.(p);
+            objs.(row) <- (2 * glob.(packed lsr 1)) + (packed land 1)
+          in
+          match iter_rows atoms body count fill with
+          | Error e -> Error e
+          | Ok () ->
+              let s = Store.Columnar_store.of_packed_columns subs preds objs in
+              Ok
+                {
+                  pack = Pack ((module Store.Columnar_store), s);
+                  counter = 0;
+                  txn = None;
+                  observer = None;
+                }))
 
 let of_binary ?store payload =
   match Wbin.decode payload with
   | Error e -> Error ("binary snapshot: " ^ e)
-  | Ok sections -> (
-      match store with
-      | Some _ -> (
-          match triples_of_binary_sections sections with
-          | Error e -> Error e
-          | Ok triples ->
-              let t = create ?store () in
-              add_all t triples;
-              Ok t)
-      | None -> (
-          (* Default (columnar) store: intern each distinct atom once
-             and decode the rows straight into global-id columns the
-             store takes ownership of — the recovery path never
-             materializes a triple list, allocates a per-row tuple, or
-             probes a string hashtable per row. *)
-          match decode_sections sections with
-          | Error e -> Error e
-          | Ok (atoms, body, count) -> (
-              let glob = Array.map Atom.intern atoms in
-              let subs = Array.make count 0 in
-              let preds = Array.make count 0 in
-              let objs = Array.make count 0 in
-              let fill row s p packed =
-                subs.(row) <- glob.(s);
-                preds.(row) <- glob.(p);
-                objs.(row) <- (2 * glob.(packed lsr 1)) + (packed land 1)
-              in
-              match iter_rows atoms body count fill with
-              | Error e -> Error e
-              | Ok () ->
-                  let s = Store.Columnar_store.of_packed_columns subs preds objs in
-                  Ok
-                    {
-                      pack = Pack ((module Store.Columnar_store), s);
-                      counter = 0;
-                      txn = None;
-                      observer = None;
-                    })))
+  | Ok sections -> of_binary_sections ?store sections

@@ -79,9 +79,9 @@ val in_transaction : t -> bool
 
 (** {1 Mutation observation}
 
-    The hook behind journaled persistence ({!Durable} and the slimpad
-    WAL mode): every effective store mutation — through any public entry
-    point, including transaction rollbacks (which emit the inverse
+    The hook behind journaled persistence (the slimpad WAL mode, whose
+    record codec is [Si_slimpad.Pad_format]): every effective store
+    mutation — through any public entry point, including transaction rollbacks (which emit the inverse
     operations) and [add_all] — is reported exactly once, after it has
     been applied. No-op calls (adding a present triple, removing an
     absent one) are not reported. *)
@@ -159,22 +159,26 @@ val of_binary : ?store:(module Store.S) -> string -> (t, string) result
     section missing, an atom id out of range, a short row — is an
     [Error], never a partial load. *)
 
-val triples_of_binary : string -> (Triple.t list, string) result
-(** The raw row list of a binary snapshot, in stored order, without
-    loading a store. Offline tooling (lint) uses this. *)
+val atoms_section : string
+val triples_section : string
+(** The names of the two sections. *)
 
 val binary_sections : t -> (string * string) list
 (** The [(name, payload)] sections {!to_binary} frames — exposed so
-    composite snapshots (the slimpad WAL) can append their own sections
-    to the same container. *)
+    composite snapshots (the slimpad WAL, capture bundles) can append
+    their own sections to the same container. *)
 
-val binary_sections_of_triples : Triple.t list -> (string * string) list
-(** Like {!binary_sections} for a bare triple list. *)
+val of_binary_sections :
+  ?store:(module Store.S) -> (string * string) list -> (t, string) result
+(** {!of_binary} over an already-decoded container (other sections are
+    ignored). The default store is built straight from packed columns;
+    an explicit [?store] is filled row by row. *)
 
 val triples_of_binary_sections :
   (string * string) list -> (Triple.t list, string) result
-(** Decode the [atoms] + [triples] sections out of an already-decoded
-    container. *)
+(** The raw row list of the [atoms] + [triples] sections, in stored
+    order, without loading a store. Offline tooling (lint, bundle
+    verification) uses this. *)
 
 val equal_contents : t -> t -> bool
 (** Same triple set, regardless of store implementation. *)

@@ -375,11 +375,30 @@ let test_wal_unknown_record () =
   check_bool "names the tag" true
     (Re.execp
        (Re.compile (Re.str "unknown record tag \"zz\""))
-       (List.hd diags).Si_lint.message)
+       (List.hd diags).Si_lint.message);
+  (* Lint and recovery decode records with one decoder, so a malformed
+     record reads the same in a lint report and a refused recovery. *)
+  List.iter
+    (fun (fields, text) ->
+      let path = temp_wal "pad.wal" in
+      write_file path (log_bytes [ Record.encode_fields fields ]);
+      let diags = Si_lint.run (wal_only path) in
+      only_code "SL304" diags;
+      check "lint text" text (List.hd diags).Si_lint.message;
+      match Slimpad.open_wal (Desktop.create ()) path with
+      | Ok _ -> Alcotest.failf "recovery accepted %S" text
+      | Error e -> check "recovery text" ("wal: record 0: " ^ text) e)
+    [
+      ([ "zz"; "?" ], "unknown record tag \"zz\"");
+      ([ "m-"; "a"; "b" ], "bad mark-removal record: expected one mark id");
+      ([ "jx"; "1" ], "bad journal-clear record: expected no arguments");
+      ([ "jt" ], "bad journal-truncation record: expected one seq");
+    ]
 
 let journal_record seq =
-  Dmi.journal_entry_to_record
-    { Dmi.seq; op = "op"; target = "t"; detail = "d" }
+  Pad_format.encode
+    (Pad_format.Journal_entry
+       { Dmi.seq; op = "op"; target = "t"; detail = "d" })
 
 let test_wal_journal_regression () =
   let path = temp_wal "pad.wal" in

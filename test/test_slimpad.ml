@@ -583,6 +583,102 @@ let test_wal_xml_snapshot_back_compat () =
   ok (Slimpad.wal_close app3);
   cleanup_wal path
 
+(* The pad's persistence bytes, pinned: one record of each of the eight
+   WAL record kinds as the journal hooks write it, and the MD5 of a
+   fixed pad's snapshot, its compacted WAL snapshot (which carries the
+   replication watermark) and its capture bundle. *)
+let test_persistence_bytes_pinned () =
+  let module Trim = Si_triple.Trim in
+  let module Triple = Si_triple.Triple in
+  let module Log = Si_wal.Log in
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i ->
+           Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let dump path = Result.get_ok (Log.dump path) in
+  let mark =
+    Si_mark.Mark.make ~id:"m1" ~mark_type:"text"
+      ~fields:[ ("fileName", "note.txt"); ("offset", "4") ]
+      ~excerpt:"dopamine" ()
+  in
+  let path = fresh_wal_path () in
+  let app, _ = ok (Slimpad.open_wal (Desktop.create ()) path) in
+  let dmi = Slimpad.dmi app and trim = Dmi.trim (Slimpad.dmi app) in
+  let lit = Triple.make "s1" "name" (Triple.literal "Smith") in
+  ignore (Trim.add trim lit);
+  ignore (Trim.add trim (Triple.make "s1" "next" (Triple.resource "s2")));
+  ignore (Trim.remove trim lit);
+  Trim.clear trim;
+  Manager.put_mark (Slimpad.marks app) mark;
+  ignore (Manager.remove_mark (Slimpad.marks app) "m1");
+  ignore
+    (Dmi.atomically dmi (fun () ->
+         ignore (Dmi.create_slimpad dmi ~pad_name:"p");
+         Error ()));
+  Dmi.clear_journal dmi;
+  ok (Slimpad.wal_close app);
+  let records =
+    List.map (fun r -> r.Log.dump_payload) (dump path).Log.dump_records
+  in
+  cleanup_wal path;
+  let first tag =
+    hex
+      (List.find
+         (fun r ->
+           List.hd (Result.get_ok (Si_wal.Record.decode_fields r)) = tag)
+         records)
+  in
+  List.iteri
+    (fun i want ->
+      check (Printf.sprintf "record %d" i) want (hex (List.nth records i)))
+    [
+      "05000000010000002b020000007331040000006e616d65010000006c05000000536d697468";
+      "05000000010000002b020000007331040000006e6578740100000072020000007332";
+      "05000000010000002d020000007331040000006e616d65010000006c05000000536d697468";
+      "010000000100000078";
+      "08000000020000006d2b020000006d31040000007465787408000000646f70616d696e650800000066696c654e616d65080000006e6f74652e747874060000006f66667365740100000034";
+      "02000000020000006d2d020000006d31";
+    ];
+  check "journal entry"
+    "05000000010000006a01000000310e0000006372656174655f736c696d7061641c0000006d6f64656c3a62756e646c652d73637261702f736c696d7061642d310700000070616420227022"
+    (first "j");
+  check "journal truncated" "02000000020000006a740100000030" (first "jt");
+  check "journal cleared" "01000000020000006a78" (first "jx");
+  (* Three triples, one mark, one journal entry, and the watermark
+     (2, 7) recovered from the pad's WAL snapshot. *)
+  let base = Slimpad.create (Desktop.create ()) in
+  List.iter
+    (fun (s, p, o) ->
+      ignore (Trim.add (Dmi.trim (Slimpad.dmi base)) (Triple.make s p o)))
+    [
+      ("s1", "name", Triple.literal "Smith");
+      ("s1", "next", Triple.resource "s2");
+      ("s2", "name", Triple.literal "Jones <&>");
+    ];
+  Manager.put_mark (Slimpad.marks base) mark;
+  Dmi.append_journal_entry (Slimpad.dmi base)
+    { Dmi.seq = 1; op = "create_scrap"; target = "s1"; detail = "scrap" };
+  let path = fresh_wal_path () in
+  let log, _ = Result.get_ok (Log.open_ path) in
+  ignore
+    (Log.cut_snapshot log
+       (Si_wal.Binary.encode
+          (Result.get_ok (Si_wal.Binary.decode (Slimpad.snapshot_bytes base))
+          @ [ ("replication", Si_wal.Record.encode_fields [ "2"; "7" ]) ])));
+  ignore (Log.close log);
+  let pad, _ = ok (Slimpad.open_wal (Desktop.create ()) path) in
+  check "snapshot" "c1c292ab520bdba79c99da7adfa414bd"
+    (md5 (Slimpad.snapshot_bytes pad));
+  check "bundle" "96f19d099ba890bc56189400785efe1a"
+    (md5 (fst (Si_bundle.capture pad)));
+  ok (Slimpad.wal_compact pad);
+  ok (Slimpad.wal_close pad);
+  check "compacted WAL snapshot" "7a72e8b7e82579b92d0bcc284065a57b"
+    (md5 (Option.get (dump path).Log.dump_snapshot));
+  cleanup_wal path
+
 let suite =
   [
     ("add_scrap creates the mark (F5)", `Quick, test_add_scrap_creates_mark);
@@ -613,4 +709,5 @@ let suite =
     ("save still emits XML", `Quick, test_save_still_xml);
     ("wal: XML snapshot back-compat", `Quick,
      test_wal_xml_snapshot_back_compat);
+    ("persistence bytes are pinned", `Quick, test_persistence_bytes_pinned);
   ]

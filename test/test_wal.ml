@@ -1,12 +1,13 @@
-(* Tests for Si_wal (CRC, record framing, log, recovery) and the
-   journaled TRIM facade (Si_triple.Durable). Crash injection cuts log
-   files at arbitrary byte offsets with Si_workload.Faults.cut_file —
-   exactly the state a process death mid-append leaves behind. *)
+(* Tests for Si_wal (CRC, record framing, log, recovery) and journaled
+   TRIM recovery through the pad's WAL (Slimpad.open_wal). Crash
+   injection cuts log files at arbitrary byte offsets with
+   Si_workload.Faults.cut_file — exactly the state a process death
+   mid-append leaves behind. *)
 
 open Si_wal
 module Trim = Si_triple.Trim
 module Triple = Si_triple.Triple
-module Durable = Si_triple.Durable
+module Slimpad = Si_slimpad.Slimpad
 module Faults = Si_workload.Faults
 module Rng = Si_workload.Rng
 
@@ -436,34 +437,50 @@ let test_crash_random_offsets_with_snapshot () =
   cleanup scratch;
   cleanup path
 
-(* -------------------------------------------------- Durable TRIM facade *)
+(* ------------------------------------------ journaled TRIM (pad WAL) *)
 
 let tr s p o = Triple.make s p (Triple.literal o)
 
+(* A journaled pad is the production journaled TRIM: its triple store is
+   the one under test. A pad's store also holds the bundle model's own
+   definition triples, which recovery reinstalls even after a clear, so
+   contents are compared on the triples outside that model. *)
+let open_pad ?policy path =
+  Slimpad.open_wal ?policy (Si_mark.Desktop.create ()) path
+
+let pad_trim app = Si_slim.Dmi.trim (Slimpad.dmi app)
+
+let model_triples =
+  Trim.to_list (pad_trim (Slimpad.create (Si_mark.Desktop.create ())))
+
+let user_triples t =
+  List.sort Triple.compare
+    (List.filter (fun x -> not (List.mem x model_triples)) (Trim.to_list t))
+
+let user_size t = List.length (user_triples t)
+let same_triples a b = user_triples a = user_triples b
+
 let test_durable_roundtrip () =
   let path = fresh_path () in
-  let { Durable.durable = d; _ } = sok_exn "open" (Durable.open_ path) in
-  let t = Durable.trim d in
+  let app, _ = sok_exn "open" (open_pad path) in
+  let t = pad_trim app in
   check_bool "add" true (Trim.add t (tr "b1" "bundleName" "John Smith"));
   check_bool "add2" true (Trim.add t (Triple.make "b1" "content" (Triple.resource "s1")));
   check_bool "remove" true (Trim.remove t (tr "b1" "bundleName" "John Smith"));
   check_bool "re-add" true (Trim.add t (tr "b1" "bundleName" "Jane Doe"));
-  sok_exn "close" (Durable.close d);
-  let { Durable.durable = d2; replayed; _ } =
-    sok_exn "reopen" (Durable.open_ path)
-  in
+  sok_exn "close" (Slimpad.wal_close app);
+  let app2, { Slimpad.replayed; _ } = sok_exn "reopen" (open_pad path) in
   check_int "replayed every op" 4 replayed;
-  check_bool "contents equal" true
-    (Trim.equal_contents t (Durable.trim d2));
-  sok_exn "close2" (Durable.close d2);
+  check_bool "contents equal" true (Trim.equal_contents t (pad_trim app2));
+  sok_exn "close2" (Slimpad.wal_close app2);
   cleanup path
 
 let test_durable_rollback_journaled () =
   (* A rolled-back transaction must leave the WAL describing the same
      state as the in-memory trim: the inverse ops are appended. *)
   let path = fresh_path () in
-  let { Durable.durable = d; _ } = sok_exn "open" (Durable.open_ path) in
-  let t = Durable.trim d in
+  let app, _ = sok_exn "open" (open_pad path) in
+  let t = pad_trim app in
   ignore (Trim.add t (tr "a" "p" "keep"));
   (match
      Trim.transaction t (fun () ->
@@ -473,42 +490,38 @@ let test_durable_rollback_journaled () =
    with
   | Ok (Error "abort") -> ()
   | _ -> Alcotest.fail "transaction should report the abort");
-  check_int "in-memory state rolled back" 1 (Trim.size t);
-  sok_exn "close" (Durable.close d);
-  let { Durable.durable = d2; _ } = sok_exn "reopen" (Durable.open_ path) in
+  check_int "in-memory state rolled back" 1 (user_size t);
+  sok_exn "close" (Slimpad.wal_close app);
+  let app2, _ = sok_exn "reopen" (open_pad path) in
   check_bool "recovered state matches the rolled-back trim" true
-    (Trim.equal_contents t (Durable.trim d2));
-  sok_exn "close2" (Durable.close d2);
+    (Trim.equal_contents t (pad_trim app2));
+  sok_exn "close2" (Slimpad.wal_close app2);
   cleanup path
 
 let test_durable_checkpoint () =
   let path = fresh_path () in
-  let { Durable.durable = d; _ } = sok_exn "open" (Durable.open_ path) in
-  let t = Durable.trim d in
+  let app, _ = sok_exn "open" (open_pad path) in
+  let t = pad_trim app in
   for i = 1 to 20 do
     ignore (Trim.add t (tr (Printf.sprintf "r%d" i) "p" "v"))
   done;
-  sok_exn "checkpoint" (Durable.checkpoint d);
-  check_int "log truncated" 0 (Log.record_count (Durable.log d));
+  sok_exn "checkpoint" (Slimpad.wal_compact app);
+  check_int "log truncated" 0 (Log.record_count (Option.get (Slimpad.wal app)));
   ignore (Trim.add t (tr "post" "p" "v"));
-  sok_exn "close" (Durable.close d);
-  let { Durable.durable = d2; replayed; _ } =
-    sok_exn "reopen" (Durable.open_ path)
-  in
+  sok_exn "close" (Slimpad.wal_close app);
+  let app2, { Slimpad.replayed; _ } = sok_exn "reopen" (open_pad path) in
   check_int "only the post-checkpoint tail replays" 1 replayed;
-  check_bool "contents equal" true (Trim.equal_contents t (Durable.trim d2));
+  check_bool "contents equal" true (Trim.equal_contents t (pad_trim app2));
   (* Compaction is idempotent: checkpointing again (no new ops) must
      recover to the identical store. *)
-  sok_exn "checkpoint2" (Durable.checkpoint d2);
-  sok_exn "checkpoint3" (Durable.checkpoint d2);
-  sok_exn "close2" (Durable.close d2);
-  let { Durable.durable = d3; replayed = r3; _ } =
-    sok_exn "reopen3" (Durable.open_ path)
-  in
+  sok_exn "checkpoint2" (Slimpad.wal_compact app2);
+  sok_exn "checkpoint3" (Slimpad.wal_compact app2);
+  sok_exn "close2" (Slimpad.wal_close app2);
+  let app3, { Slimpad.replayed = r3; _ } = sok_exn "reopen3" (open_pad path) in
   check_int "nothing to replay after double checkpoint" 0 r3;
   check_bool "state unchanged by re-compaction" true
-    (Trim.equal_contents t (Durable.trim d3));
-  sok_exn "close3" (Durable.close d3);
+    (Trim.equal_contents t (pad_trim app3));
+  sok_exn "close3" (Slimpad.wal_close app3);
   cleanup path
 
 let test_durable_undecodable_record () =
@@ -516,11 +529,49 @@ let test_durable_undecodable_record () =
   let log, _ = ok_exn "open raw" (Log.open_ path) in
   ok_exn "bogus" (Log.append log (Record.encode_fields [ "?"; "junk" ]));
   ok_exn "close raw" (Log.close log);
-  (match Durable.open_ path with
+  (match open_pad path with
   | Error _ -> ()
-  | Ok { Durable.durable = d; _ } ->
-      ignore (Durable.close d);
+  | Ok (app, _) ->
+      ignore (Slimpad.wal_close app);
       Alcotest.fail "an undecodable record must not replay silently");
+  cleanup path
+
+let test_triples_only_log () =
+  (* A journaled bare TRIM's on-disk shape: a [Trim.to_binary] snapshot
+     (no marks or journal sections) under a tail of + - x records.
+     Recovery opens it as a pad with no marks and the same triples. *)
+  let path = fresh_path () in
+  let expected = Trim.create () in
+  List.iter
+    (fun s -> ignore (Trim.add expected (tr s "p" "v")))
+    [ "base0"; "base1"; "base2" ];
+  let append ?snapshot records =
+    let log, _ = ok_exn "open raw" (Log.open_ path) in
+    Option.iter (fun p -> ok_exn "snapshot" (Log.cut_snapshot log p)) snapshot;
+    List.iter
+      (fun r -> ok_exn "append" (Log.append log (Record.encode_fields r)))
+      records;
+    ok_exn "close raw" (Log.close log)
+  in
+  let recovers what ~replayed =
+    let app, rc = sok_exn "recover" (open_pad path) in
+    check_int (what ^ ": replayed") replayed rc.Slimpad.replayed;
+    check_bool (what ^ ": triples equal") true
+      (same_triples expected (pad_trim app));
+    check_int (what ^ ": no marks") 0
+      (List.length (Si_mark.Manager.marks (Slimpad.marks app)));
+    sok_exn "close" (Slimpad.wal_close app)
+  in
+  append ~snapshot:(Trim.to_binary expected)
+    [ [ "+"; "tail"; "link"; "r"; "base0" ]; [ "-"; "base1"; "p"; "l"; "v" ] ];
+  ignore
+    (Trim.add expected (Triple.make "tail" "link" (Triple.resource "base0")));
+  ignore (Trim.remove expected (tr "base1" "p" "v"));
+  recovers "snapshot + tail" ~replayed:2;
+  append [ [ "x" ]; [ "+"; "after"; "p"; "l"; "v" ] ];
+  Trim.clear expected;
+  ignore (Trim.add expected (tr "after" "p" "v"));
+  recovers "after a clear" ~replayed:4;
   cleanup path
 
 (* ------------------------------------------------- QCheck conformance *)
@@ -559,76 +610,66 @@ let prop_durable_conforms =
   QCheck.Test.make ~name:"recovered durable trim equals in-memory trim"
     ~count:60 arbitrary_ops (fun ops ->
       let path = fresh_path () in
-      let { Durable.durable = d; _ } =
-        sok_exn "open" (Durable.open_ path)
-      in
+      let app, _ = sok_exn "open" (open_pad path) in
       let reference = Trim.create () in
       List.iter
         (fun op ->
           (match op with
-          | `Add t -> ignore (Trim.add (Durable.trim d) t)
-          | `Remove t -> ignore (Trim.remove (Durable.trim d) t)
-          | `Clear -> Trim.clear (Durable.trim d)
-          | `Checkpoint -> sok_exn "checkpoint" (Durable.checkpoint d));
+          | `Add t -> ignore (Trim.add (pad_trim app) t)
+          | `Remove t -> ignore (Trim.remove (pad_trim app) t)
+          | `Clear -> Trim.clear (pad_trim app)
+          | `Checkpoint -> sok_exn "checkpoint" (Slimpad.wal_compact app));
           match op with
           | `Add t -> ignore (Trim.add reference t)
           | `Remove t -> ignore (Trim.remove reference t)
           | `Clear -> Trim.clear reference
           | `Checkpoint -> ())
         ops;
-      sok_exn "close" (Durable.close d);
-      let { Durable.durable = d2; _ } =
-        sok_exn "recover" (Durable.open_ path)
-      in
-      let ok = Trim.equal_contents reference (Durable.trim d2) in
-      sok_exn "close2" (Durable.close d2);
+      sok_exn "close" (Slimpad.wal_close app);
+      let app2, _ = sok_exn "recover" (open_pad path) in
+      let ok = same_triples reference (pad_trim app2) in
+      sok_exn "close2" (Slimpad.wal_close app2);
       (* And compaction of the recovered store is idempotent. *)
-      let { Durable.durable = d3; _ } =
-        sok_exn "reopen" (Durable.open_ path)
-      in
-      sok_exn "compact" (Durable.checkpoint d3);
-      sok_exn "close3" (Durable.close d3);
-      let { Durable.durable = d4; _ } =
-        sok_exn "recover-compacted" (Durable.open_ path)
-      in
-      let ok2 = Trim.equal_contents reference (Durable.trim d4) in
-      sok_exn "close4" (Durable.close d4);
+      let app3, _ = sok_exn "reopen" (open_pad path) in
+      sok_exn "compact" (Slimpad.wal_compact app3);
+      sok_exn "close3" (Slimpad.wal_close app3);
+      let app4, _ = sok_exn "recover-compacted" (open_pad path) in
+      let ok2 = same_triples reference (pad_trim app4) in
+      sok_exn "close4" (Slimpad.wal_close app4);
       cleanup path;
       ok && ok2)
 
 (* Recovery from a crash at a random offset yields a prefix: re-running
-   the surviving records through a fresh trim always reproduces it. *)
+   the surviving records through a fresh pad always reproduces it. *)
 let prop_recovery_is_prefix =
   QCheck.Test.make ~name:"crash recovery yields an op-stream prefix"
     ~count:40
     QCheck.(pair arbitrary_ops (int_range 0 10_000))
     (fun (ops, cut_seed) ->
       let path = fresh_path () in
-      let { Durable.durable = d; _ } =
-        sok_exn "open" (Durable.open_ ~policy:Log.Immediate path)
-      in
+      let app, _ = sok_exn "open" (open_pad ~policy:Log.Immediate path) in
       List.iter
         (function
-          | `Add t -> ignore (Trim.add (Durable.trim d) t)
-          | `Remove t -> ignore (Trim.remove (Durable.trim d) t)
-          | `Clear -> Trim.clear (Durable.trim d)
+          | `Add t -> ignore (Trim.add (pad_trim app) t)
+          | `Remove t -> ignore (Trim.remove (pad_trim app) t)
+          | `Clear -> Trim.clear (pad_trim app)
           | `Checkpoint -> ())
         ops;
-      sok_exn "close" (Durable.close d);
+      sok_exn "close" (Slimpad.wal_close app);
       let size = (read_bytes path |> String.length) in
       ignore (Faults.cut_file path (cut_seed mod (size + 1)));
       let recovered =
-        match Durable.open_ path with
-        | Ok { Durable.durable = d2; _ } ->
-            let t = Durable.trim d2 in
-            let l = Trim.to_list t in
-            sok_exn "close2" (Durable.close d2);
+        match open_pad path with
+        | Ok (app2, _) ->
+            let l = Trim.to_list (pad_trim app2) in
+            sok_exn "close2" (Slimpad.wal_close app2);
             l
         | Error e -> Alcotest.failf "recovery failed: %s" e
       in
-      (* Replay op prefixes through a fresh trim until one matches. *)
+      (* Replay op prefixes through a fresh pad's trim until one
+         matches. *)
       let matches_prefix =
-        let t = Trim.create () in
+        let t = pad_trim (Slimpad.create (Si_mark.Desktop.create ())) in
         let sorted l = List.sort Triple.compare l in
         let target = sorted recovered in
         let rec go remaining =
@@ -754,16 +795,16 @@ let test_binary_snapshot_crash_at_every_offset () =
      every offset: opening must fail cleanly (corrupt snapshot), never
      crash, never half-load. *)
   let path = fresh_path () in
-  let { Durable.durable = d; _ } = sok_exn "open" (Durable.open_ path) in
-  let t = Durable.trim d in
+  let app, _ = sok_exn "open" (open_pad path) in
+  let t = pad_trim app in
   List.iter
     (fun i -> ignore (Trim.add t (tr ("base" ^ string_of_int i) "p" "v")))
     [ 0; 1; 2; 3; 4 ];
-  sok_exn "checkpoint" (Durable.checkpoint d);
+  sok_exn "checkpoint" (Slimpad.wal_compact app);
   List.iter
     (fun i -> ignore (Trim.add t (tr ("tail" ^ string_of_int i) "p" "v")))
     [ 0; 1; 2 ];
-  sok_exn "close" (Durable.close d);
+  sok_exn "close" (Slimpad.wal_close app);
   let snap_path = Log.snapshot_path path in
   let snap = read_bytes snap_path in
   (* The .snap file wraps the payload in its own framing: an 8-byte
@@ -779,12 +820,12 @@ let test_binary_snapshot_crash_at_every_offset () =
   for cut = 0 to String.length full_log do
     write_bytes scratch (String.sub full_log 0 cut);
     write_bytes scratch_snap snap;
-    match Durable.open_ scratch with
-    | Ok { Durable.durable = d2; _ } ->
-        let size = Trim.size (Durable.trim d2) in
+    match open_pad scratch with
+    | Ok (app2, _) ->
+        let size = user_size (pad_trim app2) in
         if size < 5 || size > 8 then
           Alcotest.failf "log cut %d: recovered %d triples" cut size;
-        sok_exn "close cut" (Durable.close d2)
+        sok_exn "close cut" (Slimpad.wal_close app2)
     | Error _ when cut < 12 -> () (* header itself torn *)
     | Error e -> Alcotest.failf "log cut %d: %s" cut e
   done;
@@ -795,11 +836,11 @@ let test_binary_snapshot_crash_at_every_offset () =
   while !cut < String.length snap do
     write_bytes scratch full_log;
     write_bytes scratch_snap (String.sub snap 0 !cut);
-    (match Durable.open_ scratch with
-    | Ok { Durable.durable = d2; _ } ->
+    (match open_pad scratch with
+    | Ok (app2, _) ->
         (* An empty file is a legal "no snapshot yet" state. *)
         if !cut <> 0 then Alcotest.failf "snapshot cut %d: opened" !cut
-        else sok_exn "close empty-snap" (Durable.close d2)
+        else sok_exn "close empty-snap" (Slimpad.wal_close app2)
     | Error _ -> ());
     cut := !cut + step
   done;
@@ -834,6 +875,7 @@ let suite =
      test_durable_checkpoint);
     ("durable refuses undecodable records", `Quick,
      test_durable_undecodable_record);
+    ("triples-only log recovers as a pad", `Quick, test_triples_only_log);
     ("binary container round-trip & sniffer", `Quick, test_binary_roundtrip);
     ("binary container rejects damage", `Quick, test_binary_rejects_damage);
     ("binary container truncation at every offset", `Quick,
