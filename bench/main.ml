@@ -561,7 +561,7 @@ let compound_path_tests () =
           (staged (fun () -> S.count ~subject:s ~predicate:p filled));
         Test.make
           ~name:(Printf.sprintf "exists-subject:%s" impl_name)
-          (staged (fun () -> S.exists ~subject:s filled));
+          (staged (fun () -> S.count ~subject:s filled > 0));
       ])
     Store.implementations
 
@@ -580,7 +580,7 @@ let concurrent_throughput_tests () =
           (S.add s
              (Triple.make subject "p" (Triple.literal (string_of_int i))));
         if i mod 10 = 0 then ignore (S.select ~subject s);
-        if i mod 100 = 0 then ignore (S.exists ~subject s)
+        if i mod 100 = 0 then ignore (S.count ~subject s > 0)
       done
     in
     let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
@@ -1037,7 +1037,8 @@ let columnar_scaling_tests () =
               ( "exists-po",
                 fun () ->
                   ignore
-                    (S.exists ~predicate:"bundleContent" ~object_:so_obj filled)
+                    (S.count ~predicate:"bundleContent" ~object_:so_obj filled
+                    > 0)
               );
             ]
           in

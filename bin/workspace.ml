@@ -85,6 +85,9 @@ let load_desktop dir =
     entries;
   (desk, List.rev !problems)
 
+(* [store] picks the triple store of a journaled or fresh pad; a
+   whole-file pad (never served: serve needs a WAL) loads into the
+   default store. *)
 let open_workspace ?store ?resilient ?wrap
     ?(on_warning = Printf.eprintf "warning: %s\n") dir =
   let desk, problems = load_desktop dir in
@@ -97,7 +100,7 @@ let open_workspace ?store ?resilient ?wrap
     | Ok (app, _) -> Ok app
   else
     let file = pad_store dir in
-    if Sys.file_exists file then Slimpad.load ?store ?resilient ?wrap desk file
+    if Sys.file_exists file then Slimpad.load ?resilient ?wrap desk file
     else Ok (Slimpad.create ?store ?resilient ?wrap desk)
 
 let save_workspace dir app =

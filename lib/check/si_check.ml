@@ -142,7 +142,6 @@ let () =
       ("wal.log", 60, true, "WAL writer; group commit flushes under it");
       ("wal.ship", 70, true, "shipping buffer; seals segments to disk");
       ("slimpad.ship.wake", 80, false, "async shipper wakeup flag");
-      ("wal.transport.local", 90, false, "in-process follower mailbox");
       ("store.shard", 110, false, "per-shard store lock; never nested");
       ("atom.table", 120, false, "atom-interning append lock");
       ("obs.registry", 200, false, "metric registry lookups");
@@ -412,9 +411,19 @@ module Lock = struct
       match hold with Some ns -> note_hold t d ns | None -> ()
     end
 
+  (* Not [Fun.protect]: its closure and handler setup are a measurable
+     share of an uncontended acquire, and [with_lock] sits on every
+     sharded-store access. *)
   let with_lock t f =
     lock t;
-    Fun.protect ~finally:(fun () -> unlock t) f
+    match f () with
+    | v ->
+        unlock t;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        unlock t;
+        Printexc.raise_with_backtrace e bt
 
   let wait cond t =
     let d = Domain.DLS.get dls in

@@ -476,6 +476,9 @@ let accept_loop t =
 (* --- lifecycle ------------------------------------------------------- *)
 
 let start ?(config = default_config) ?follower leader =
+  (* A write to a peer that reset its socket must fail that connection
+     with EPIPE, not kill the process with SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match
     try
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

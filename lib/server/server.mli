@@ -52,7 +52,9 @@ val start :
     the replica application and its protocol endpoint (keep shipping to
     it — {!Si_slimpad.Slimpad.start_shipping} with [~async:true] pairs
     naturally). The leader should be journaled; without a WAL the
-    server still runs, writes just have nothing to sync. *)
+    server still runs, writes just have nothing to sync. Sets SIGPIPE
+    to ignored for the process, so a peer that resets its socket drops
+    only its own connection. *)
 
 val port : t -> int
 

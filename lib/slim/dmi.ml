@@ -571,8 +571,8 @@ let of_xml ?store root = Result.map of_trim (Trim.of_xml ?store root)
 
 let save t path = Trim.save t.trim path
 
-let load ?store path =
-  match Trim.load ?store path with
+let load path =
+  match Trim.load path with
   | Error _ as e -> e
   | Ok trim ->
       Ok {

@@ -255,5 +255,5 @@ val of_trim : Si_triple.Trim.t -> t
 val save : t -> string -> (unit, string) result
 (** Crash-safe (temp file + rename, via {!Si_triple.Trim.save}). *)
 
-val load : ?store:(module Si_triple.Store.S) -> string -> (t, string) result
+val load : string -> (t, string) result
 val equal_contents : t -> t -> bool

@@ -444,11 +444,11 @@ let of_store_root ?store ?resilient ?wrap desktop root =
       | _ -> Error "missing <triples> or <marks> section")
   | _ -> Error "expected a <slimpad-store> root element"
 
-let load ?store ?resilient ?wrap desktop path =
+let load ?resilient ?wrap desktop path =
   match Xml.Parse.file path with
   | Error e -> Error (Xml.Parse.error_to_string e)
   | Ok root ->
-      of_store_root ?store ?resilient ?wrap desktop
+      of_store_root ?resilient ?wrap desktop
         (Xml.Node.strip_whitespace root)
 
 (* ------------------------------------------------------ journaled mode *)
@@ -544,11 +544,11 @@ type offline_restore = { restored : int; skipped : int }
    to apply are skipped rather than fatal (Si_lint reports them as
    stream inconsistencies); a stale log's records are all skipped,
    mirroring what recovery would discard. *)
-let restore_offline ?store ?resilient ?wrap desktop (d : Log.dump) =
+let restore_offline ?resilient ?wrap desktop (d : Log.dump) =
   let app_result =
     match d.Log.dump_snapshot with
-    | None -> Ok (create ?store ?resilient ?wrap desktop)
-    | Some payload -> app_of_snapshot ?store ?resilient ?wrap desktop payload
+    | None -> Ok (create ?resilient ?wrap desktop)
+    | Some payload -> app_of_snapshot ?resilient ?wrap desktop payload
   in
   match app_result with
   | Error _ as e -> e
@@ -774,7 +774,8 @@ let wal_close t =
 let shipper t = t.shipper
 let replica t = t.replica
 let snapshot_bytes t = binary_snapshot t
-let of_snapshot_bytes = app_of_snapshot
+let of_snapshot_bytes ?resilient ?wrap desktop payload =
+  app_of_snapshot ?resilient ?wrap desktop payload
 let snapshot_meta = rep_meta_of_payload
 
 let start_shipping ?segment_records ?term ?(async = false) t ~archive =
@@ -990,7 +991,7 @@ let promote_replica ?segment_records t ~archive =
         (fun () -> term)
         (start_shipping ?segment_records ~term t ~archive)
 
-let restore_at ?store ?resilient ?wrap desktop ~archive ~at =
+let restore_at ?resilient ?wrap desktop ~archive ~at =
   match Si_wal.Segment.index archive with
   | Error _ as e -> e
   | Ok idx -> (
@@ -1000,7 +1001,7 @@ let restore_at ?store ?resilient ?wrap desktop ~archive ~at =
           match Si_wal.Segment.read_base ~dir:archive base with
           | Error _ as e -> e
           | Ok payload -> (
-              match app_of_snapshot ?store ?resilient ?wrap desktop payload with
+              match app_of_snapshot ?resilient ?wrap desktop payload with
               | Error _ as e -> e
               | Ok app ->
                   let restored = ref base.Si_wal.Segment.base_seq in

@@ -129,7 +129,6 @@ val save : t -> string -> (unit, string) result
     torn store file behind. *)
 
 val load :
-  ?store:(module Si_triple.Store.S) ->
   ?resilient:Si_mark.Resilient.t ->
   ?wrap:Si_mark.Desktop.opener_wrap ->
   Si_mark.Desktop.t -> string -> (t, string) result
@@ -201,7 +200,6 @@ type offline_restore = {
 }
 
 val restore_offline :
-  ?store:(module Si_triple.Store.S) ->
   ?resilient:Si_mark.Resilient.t ->
   ?wrap:Si_mark.Desktop.opener_wrap ->
   Si_mark.Desktop.t ->
@@ -339,7 +337,6 @@ val promote_replica :
     leader's next frame is answered [Fenced]. *)
 
 val restore_at :
-  ?store:(module Si_triple.Store.S) ->
   ?resilient:Si_mark.Resilient.t ->
   ?wrap:Si_mark.Desktop.opener_wrap ->
   Si_mark.Desktop.t ->
@@ -357,7 +354,6 @@ val snapshot_bytes : t -> string
     reproduce byte-for-byte at the corresponding cut point. *)
 
 val of_snapshot_bytes :
-  ?store:(module Si_triple.Store.S) ->
   ?resilient:Si_mark.Resilient.t ->
   ?wrap:Si_mark.Desktop.opener_wrap ->
   Si_mark.Desktop.t -> string -> (t, string) result

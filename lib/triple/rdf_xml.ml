@@ -71,10 +71,10 @@ let to_xml trim =
 let to_string trim =
   Result.map (Xml.Print.to_string_pretty ~decl:true) (to_xml trim)
 
-let of_xml ?store root =
+let of_xml root =
   match root with
   | Xml.Node.Element { name = "rdf:RDF"; _ } ->
-      let trim = Trim.create ?store () in
+      let trim = Trim.create () in
       let load_description node =
         match Xml.Node.attr "rdf:about" node with
         | None -> Error "rdf:Description missing rdf:about"
@@ -114,10 +114,10 @@ let of_xml ?store root =
       load (Xml.Node.find_children "rdf:Description" root)
   | _ -> Error "expected an <rdf:RDF> root element"
 
-let of_string ?store text =
+let of_string text =
   match Xml.Parse.node text with
   | Error e -> Error (Xml.Parse.error_to_string e)
-  | Ok root -> of_xml ?store (Xml.Node.strip_whitespace root)
+  | Ok root -> of_xml (Xml.Node.strip_whitespace root)
 
 let save trim path =
   match to_xml trim with
@@ -126,7 +126,7 @@ let save trim path =
       Xml.Print.to_file path node;
       Ok ()
 
-let load ?store path =
+let load path =
   match Xml.Parse.file path with
   | Error e -> Error (Xml.Parse.error_to_string e)
-  | Ok root -> of_xml ?store (Xml.Node.strip_whitespace root)
+  | Ok root -> of_xml (Xml.Node.strip_whitespace root)

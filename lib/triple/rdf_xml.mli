@@ -24,7 +24,7 @@ val to_xml : Trim.t -> (Si_xmlk.Node.t, string) result
 (** Subjects sorted, properties per subject sorted — deterministic. *)
 
 val to_string : Trim.t -> (string, string) result
-val of_xml : ?store:(module Store.S) -> Si_xmlk.Node.t -> (Trim.t, string) result
-val of_string : ?store:(module Store.S) -> string -> (Trim.t, string) result
+val of_xml : Si_xmlk.Node.t -> (Trim.t, string) result
+val of_string : string -> (Trim.t, string) result
 val save : Trim.t -> string -> (unit, string) result
-val load : ?store:(module Store.S) -> string -> (Trim.t, string) result
+val load : string -> (Trim.t, string) result

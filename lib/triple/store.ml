@@ -16,14 +16,25 @@ module type S = sig
   val count :
     ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> int
 
-  val exists :
-    ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> bool
-
-  val fold : (Triple.t -> 'a -> 'a) -> t -> 'a -> 'a
-  val to_list : t -> Triple.t list
+  val of_packed_columns : int array -> int array -> int array -> t
 end
 
-let matches ?subject ?predicate ?object_ (t : Triple.t) =
+(* The triple a packed row denotes, built from canonical atom strings;
+   objects are packed as [atom id * 2 + tag] (tag 1 = literal). *)
+let canonical sid pid packed =
+  let o = Atom.to_string (packed lsr 1) in
+  Triple.make (Atom.to_string sid) (Atom.to_string pid)
+    (if packed land 1 = 0 then Triple.Resource o else Triple.Literal o)
+
+let check_columns who subs preds objs =
+  let n = Array.length subs in
+  if Array.length preds <> n || Array.length objs <> n then
+    invalid_arg (who ^ ".of_packed_columns: column lengths differ")
+
+(* Option arguments rather than optional ones, so the per-row loop in
+   [List_store.count] inlines it: a call per row would cost more than
+   the comparisons. *)
+let[@inline] matches subject predicate object_ (t : Triple.t) =
   (match subject with None -> true | Some s -> String.equal s t.subject)
   && (match predicate with
      | None -> true
@@ -60,23 +71,29 @@ module List_store = struct
     t.count <- 0
 
   let select ?subject ?predicate ?object_ t =
-    List.filter (matches ?subject ?predicate ?object_) t.triples
+    List.filter (matches subject predicate object_) t.triples
 
   let count ?subject ?predicate ?object_ t =
     match (subject, predicate, object_) with
     | None, None, None -> t.count
     | _ ->
-        List.fold_left
-          (fun n tr -> if matches ?subject ?predicate ?object_ tr then n + 1 else n)
-          0 t.triples
+        let rec go n = function
+          | [] -> n
+          | tr :: rest ->
+              let hit = matches subject predicate object_ tr in
+              go (if hit then n + 1 else n) rest
+        in
+        go 0 t.triples
 
-  let exists ?subject ?predicate ?object_ t =
-    match (subject, predicate, object_) with
-    | None, None, None -> t.count > 0
-    | _ -> List.exists (matches ?subject ?predicate ?object_) t.triples
-
-  let fold f t init = List.fold_left (fun acc x -> f x acc) init t.triples
-  let to_list t = t.triples
+  (* Rows materialized through [add], so duplicates drop and the list
+     ends up in the order row-by-row loading gives. *)
+  let of_packed_columns subs preds objs =
+    check_columns "List_store" subs preds objs;
+    let t = create () in
+    Array.iteri
+      (fun r sid -> ignore (add t (canonical sid preds.(r) objs.(r))))
+      subs;
+    t
 end
 
 let columnar_compact_count = Si_obs.Registry.counter "store.columnar.compact"
@@ -103,7 +120,7 @@ module Columnar_store = struct
      Read-only entry points resolve strings with [Atom.find], never
      [Atom.intern]: probing for a string that was never stored (as
      [Trim.new_id] does in a loop) must not grow the process-wide atom
-     table. Single-domain; wrap in {!Sharded} to share. *)
+     table. Single-domain; {!Sharded_columnar} shares it. *)
 
   type bucket = {
     mutable items : int list;  (* row indices; stale entries linger *)
@@ -296,13 +313,6 @@ module Columnar_store = struct
     | Some id -> Some (pack_tag id o)
     | None -> None
 
-  let unpack_obj packed =
-    let v = Atom.to_string (packed lsr 1) in
-    if packed land 1 = 0 then Triple.Resource v else Triple.Literal v
-
-  let canonical sid pid packed =
-    Triple.make (Atom.to_string sid) (Atom.to_string pid) (unpack_obj packed)
-
   let bucket table key =
     match Hashtbl.find_opt table key with
     | Some b -> b
@@ -492,24 +502,6 @@ module Columnar_store = struct
       keep
     end
 
-  let bucket_triples t table key =
-    match Hashtbl.find_opt table key with
-    | None -> []
-    | Some b -> List.map (fun r -> t.rows.(r)) (live_items t b)
-
-  let bucket_live table key =
-    match Hashtbl.find_opt table key with
-    | None -> 0
-    | Some (b : bucket) -> b.live
-
-  let abucket_triples t idx key =
-    match Aidx.get idx key with
-    | None -> []
-    | Some b -> List.map (fun r -> t.rows.(r)) (live_items t b)
-
-  let abucket_live idx key =
-    match Aidx.get idx key with None -> 0 | Some (b : bucket) -> b.live
-
   (* First pair-bound query after a bulk load, compaction, or [clear]:
      build both pair indexes in one pass over the live rows. *)
   let ensure_pairs t =
@@ -524,105 +516,79 @@ module Columnar_store = struct
       done
     end
 
-  let all_rows t =
-    let acc = ref [] in
-    for r = t.len - 1 downto 0 do
-      if t.subs.(r) >= 0 then acc := t.rows.(r) :: !acc
-    done;
-    !acc
+  (* The bound fields of a selection as atom ids (packed for the
+     object), -1 where unbound; [None] when a bound string was never
+     interned, so nothing can match. Ids are process-global: one
+     resolution serves every shard of a {!Sharded_columnar}. *)
+  let resolve ?subject ?predicate ?object_ () =
+    let id find = function None -> Some (-1) | Some v -> find v in
+    match
+      (id Atom.find subject, id Atom.find predicate, id find_packed object_)
+    with
+    | Some s, Some p, Some o -> Some (s, p, o)
+    | _ -> None
 
-  (* The subject+object (predicate free) combination has no pair index;
-     it walks the subject bucket comparing packed object ints. *)
-  let s_o_rows t sid packed =
-    match Aidx.get t.by_s sid with
-    | None -> []
-    | Some b ->
+  (* Where the rows of a resolved selection live. The subject+object
+     (predicate free) combination has no pair index: it is the subject
+     bucket filtered on the packed object int. *)
+  type hits =
+    | All_rows
+    | Row of int  (* the one exact row, or -1 *)
+    | Bucket of bucket option
+    | Bucket_with_object of bucket option * int
+
+  let hits t (s, p, o) =
+    match (s >= 0, p >= 0, o >= 0) with
+    | false, false, false -> All_rows
+    | true, true, true -> Row (probe_find t s p o)
+    | true, true, false ->
+        ensure_pairs t;
+        Bucket (Hashtbl.find_opt t.by_sp (key_sp s p))
+    | true, false, true -> Bucket_with_object (Aidx.get t.by_s s, o)
+    | true, false, false -> Bucket (Aidx.get t.by_s s)
+    | false, true, true ->
+        ensure_pairs t;
+        Bucket (Hashtbl.find_opt t.by_po (key_po p o))
+    | false, true, false -> Bucket (Aidx.get t.by_p p)
+    | false, false, true -> Bucket (Aidx.get t.by_o o)
+
+  let select_ids t ids =
+    match hits t ids with
+    | Row (-1) | Bucket None | Bucket_with_object (None, _) -> []
+    | All_rows ->
+        let acc = ref [] in
+        for r = t.len - 1 downto 0 do
+          if t.subs.(r) >= 0 then acc := t.rows.(r) :: !acc
+        done;
+        !acc
+    | Row r -> [ t.rows.(r) ]
+    | Bucket (Some b) -> List.map (fun r -> t.rows.(r)) (live_items t b)
+    | Bucket_with_object (Some b, o) ->
         List.filter_map
-          (fun r -> if t.objs.(r) = packed then Some t.rows.(r) else None)
+          (fun r -> if t.objs.(r) = o then Some t.rows.(r) else None)
           (live_items t b)
 
-  (* Resolve the bound fields once, up front; any unresolvable bound
-     string means the whole selection matches nothing. *)
+  (* Every indexed combination answers from the bucket's live count. *)
+  let count_ids t ids =
+    match hits t ids with
+    | Row (-1) | Bucket None | Bucket_with_object (None, _) -> 0
+    | All_rows -> t.live
+    | Row _ -> 1
+    | Bucket (Some b) -> b.live
+    | Bucket_with_object (Some b, o) ->
+        List.fold_left
+          (fun n r -> if t.objs.(r) = o then n + 1 else n)
+          0 (live_items t b)
+
   let select ?subject ?predicate ?object_ t =
-    match
-      ( Option.map Atom.find subject,
-        Option.map Atom.find predicate,
-        Option.map find_packed object_ )
-    with
-    | (Some None, _, _ | _, Some None, _ | _, _, Some None) -> []
-    | None, None, None -> all_rows t
-    | Some (Some s), Some (Some p), Some (Some o) ->
-        let row = probe_find t s p o in
-        if row >= 0 then [ t.rows.(row) ] else []
-    | Some (Some s), Some (Some p), None ->
-        ensure_pairs t;
-        bucket_triples t t.by_sp (key_sp s p)
-    | Some (Some s), None, Some (Some o) -> s_o_rows t s o
-    | Some (Some s), None, None -> abucket_triples t t.by_s s
-    | None, Some (Some p), Some (Some o) ->
-        ensure_pairs t;
-        bucket_triples t t.by_po (key_po p o)
-    | None, Some (Some p), None -> abucket_triples t t.by_p p
-    | None, None, Some (Some o) -> abucket_triples t t.by_o o
+    match resolve ?subject ?predicate ?object_ () with
+    | None -> []
+    | Some ids -> select_ids t ids
 
   let count ?subject ?predicate ?object_ t =
-    match
-      ( Option.map Atom.find subject,
-        Option.map Atom.find predicate,
-        Option.map find_packed object_ )
-    with
-    | (Some None, _, _ | _, Some None, _ | _, _, Some None) -> 0
-    | None, None, None -> t.live
-    | Some (Some s), Some (Some p), Some (Some o) ->
-        if probe_find t s p o >= 0 then 1 else 0
-    | Some (Some s), Some (Some p), None ->
-        ensure_pairs t;
-        bucket_live t.by_sp (key_sp s p)
-    | Some (Some s), None, Some (Some o) -> (
-        match Aidx.get t.by_s s with
-        | None -> 0
-        | Some b ->
-            List.fold_left
-              (fun n r -> if t.objs.(r) = o then n + 1 else n)
-              0 (live_items t b))
-    | Some (Some s), None, None -> abucket_live t.by_s s
-    | None, Some (Some p), Some (Some o) ->
-        ensure_pairs t;
-        bucket_live t.by_po (key_po p o)
-    | None, Some (Some p), None -> abucket_live t.by_p p
-    | None, None, Some (Some o) -> abucket_live t.by_o o
-
-  let exists ?subject ?predicate ?object_ t =
-    match
-      ( Option.map Atom.find subject,
-        Option.map Atom.find predicate,
-        Option.map find_packed object_ )
-    with
-    | (Some None, _, _ | _, Some None, _ | _, _, Some None) -> false
-    | None, None, None -> t.live > 0
-    | Some (Some s), Some (Some p), Some (Some o) -> probe_find t s p o >= 0
-    | Some (Some s), Some (Some p), None ->
-        ensure_pairs t;
-        bucket_live t.by_sp (key_sp s p) > 0
-    | Some (Some s), None, Some (Some o) -> (
-        match Aidx.get t.by_s s with
-        | None -> false
-        | Some b -> List.exists (fun r -> t.objs.(r) = o) (live_items t b))
-    | Some (Some s), None, None -> abucket_live t.by_s s > 0
-    | None, Some (Some p), Some (Some o) ->
-        ensure_pairs t;
-        bucket_live t.by_po (key_po p o) > 0
-    | None, Some (Some p), None -> abucket_live t.by_p p > 0
-    | None, None, Some (Some o) -> abucket_live t.by_o o > 0
-
-  let fold f t init =
-    let acc = ref init in
-    for r = 0 to t.len - 1 do
-      if t.subs.(r) >= 0 then acc := f t.rows.(r) !acc
-    done;
-    !acc
-
-  let to_list = all_rows
+    match resolve ?subject ?predicate ?object_ () with
+    | None -> 0
+    | Some ids -> count_ids t ids
 
   (* Bulk load for snapshot recovery. The store takes ownership of the
      three column arrays — the decoder fills them and hands them over,
@@ -634,9 +600,8 @@ module Columnar_store = struct
      compacted away in place (the write cursor trails the read cursor,
      and every position behind the read cursor has been consumed). *)
   let of_packed_columns subs preds objs =
+    check_columns "Columnar_store" subs preds objs;
     let n = Array.length subs in
-    if Array.length preds <> n || Array.length objs <> n then
-      invalid_arg "Columnar_store.of_packed_columns: column lengths differ";
     let t =
       {
         subs;
@@ -671,30 +636,34 @@ module Columnar_store = struct
     t
 end
 
-module Sharded (B : S) = struct
-  (* [shard_count] base stores, each behind its own mutex, with triples
-     placed by a hash of their subject. Writes and subject-bound reads touch
-     exactly one shard, so concurrent domains working on different subjects
-     proceed in parallel instead of serializing on one global lock.
-     Operations that cannot be routed by subject (predicate- or object-bound
-     selects, [size], [to_list], ...) visit the shards one at a time, locking
-     each in turn; they see a consistent snapshot of every individual shard
-     but not of the store as a whole — same caveat as any store without a
-     global lock. Locks are never nested, so the store cannot deadlock. *)
+module Sharded_columnar = struct
+  (* [shard_count] columnar stores, each behind its own mutex, with
+     triples placed by a hash of their subject. Writes and subject-bound
+     reads touch exactly one shard, so concurrent domains working on
+     different subjects proceed in parallel instead of serializing on one
+     global lock. Operations that cannot be routed by subject (predicate-
+     or object-bound selects, [size], ...) visit the shards one at a time,
+     locking each in turn; they see a consistent snapshot of every
+     individual shard but not of the store as a whole — same caveat as
+     any store without a global lock. Locks are never nested, so the
+     store cannot deadlock. *)
+  module B = Columnar_store
+
   let shard_count = 8
 
   type t = { shards : B.t array; locks : Si_check.Lock.t array }
 
-  let name = "sharded-" ^ B.name
+  let name = "sharded-columnar"
 
-  let create () =
+  let of_shards shards =
     {
-      shards = Array.init shard_count (fun _ -> B.create ());
+      shards;
       locks =
         Array.init shard_count (fun _ ->
             Si_check.Lock.create ~class_:"store.shard");
     }
 
+  let create () = of_shards (Array.init shard_count (fun _ -> B.create ()))
   let shard_of subject = Hashtbl.hash subject land max_int mod shard_count
 
   let with_shard t i f =
@@ -719,46 +688,46 @@ module Sharded (B : S) = struct
   let size t = fold_shards t (fun n s -> n + B.size s) 0
   let clear t = fold_shards t (fun () s -> B.clear s) ()
 
+  (* Bound strings are resolved to atom ids once, outside any lock. *)
   let select ?subject ?predicate ?object_ t =
-    match subject with
-    | Some s ->
-        with_shard t (shard_of s) (fun sh ->
-            B.select ~subject:s ?predicate ?object_ sh)
-    | None ->
+    match (B.resolve ?subject ?predicate ?object_ (), subject) with
+    | None, _ -> []
+    | Some ids, Some s ->
+        with_shard t (shard_of s) (fun sh -> B.select_ids sh ids)
+    | Some ids, None ->
         List.concat
           (List.init shard_count (fun i ->
-               with_shard t i (fun sh -> B.select ?predicate ?object_ sh)))
+               with_shard t i (fun sh -> B.select_ids sh ids)))
 
   let count ?subject ?predicate ?object_ t =
-    match subject with
-    | Some s ->
-        with_shard t (shard_of s) (fun sh ->
-            B.count ~subject:s ?predicate ?object_ sh)
-    | None ->
-        fold_shards t (fun n sh -> n + B.count ?predicate ?object_ sh) 0
+    match (B.resolve ?subject ?predicate ?object_ (), subject) with
+    | None, _ -> 0
+    | Some ids, Some s ->
+        with_shard t (shard_of s) (fun sh -> B.count_ids sh ids)
+    | Some ids, None -> fold_shards t (fun n sh -> n + B.count_ids sh ids) 0
 
-  let exists ?subject ?predicate ?object_ t =
-    match subject with
-    | Some s ->
-        with_shard t (shard_of s) (fun sh ->
-            B.exists ~subject:s ?predicate ?object_ sh)
-    | None ->
-        let rec scan i =
-          i < shard_count
-          && (with_shard t i (fun sh -> B.exists ?predicate ?object_ sh)
-             || scan (i + 1))
-        in
-        scan 0
-
-  (* Per-shard locking: callbacks must not re-enter the store. *)
-  let fold f t init = fold_shards t (fun acc s -> B.fold f s acc) init
-
-  let to_list t =
-    List.concat
-      (List.init shard_count (fun i -> with_shard t i (fun s -> B.to_list s)))
+  (* Partition the rows by the shard [add] would route them to, keeping
+     their order, then bulk-load each shard from its own columns. *)
+  let of_packed_columns subs preds objs =
+    check_columns "Sharded_columnar" subs preds objs;
+    let row_shard = Array.map (fun sid -> shard_of (Atom.to_string sid)) subs in
+    let sizes = Array.make shard_count 0 in
+    Array.iter (fun i -> sizes.(i) <- sizes.(i) + 1) row_shard;
+    let column () = Array.map (fun k -> Array.make k 0) sizes in
+    let s_cols = column () and p_cols = column () and o_cols = column () in
+    let fill = Array.make shard_count 0 in
+    Array.iteri
+      (fun r i ->
+        let k = fill.(i) in
+        s_cols.(i).(k) <- subs.(r);
+        p_cols.(i).(k) <- preds.(r);
+        o_cols.(i).(k) <- objs.(r);
+        fill.(i) <- k + 1)
+      row_shard;
+    of_shards
+      (Array.init shard_count (fun i ->
+           B.of_packed_columns s_cols.(i) p_cols.(i) o_cols.(i)))
 end
-
-module Sharded_columnar = Sharded (Columnar_store)
 
 let implementations =
   [

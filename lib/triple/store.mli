@@ -34,7 +34,8 @@ module type S = sig
     Triple.t list
   (** The paper's TRIM query: "selection, where one or more of the triple
       fields is fixed, and the result is a set of triples". With no field
-      fixed, returns everything. Order is unspecified. *)
+      fixed, returns everything — the one way to enumerate a store.
+      Order is unspecified. *)
 
   val count :
     ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> int
@@ -42,27 +43,24 @@ module type S = sig
       [List.length (select ?subject ?predicate ?object_ t)] without
       materializing the result list. {!Columnar_store} answers from
       bucket sizes; the query optimizer uses this for real cardinality
-      estimates. *)
+      estimates, and [count ... > 0] is the emptiness probe. *)
 
-  val exists :
-    ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> bool
-  (** [exists ?subject ?predicate ?object_ t] is
-      [select ?subject ?predicate ?object_ t <> []] without materializing
-      or walking the whole result: implementations short-circuit on the
-      first match. The hot case is [exists ~subject] (is this id in
-      use?). *)
-
-  val fold : (Triple.t -> 'a -> 'a) -> t -> 'a -> 'a
-  (** Folds over every stored triple. Order is unspecified; the callback
-      must not re-enter the store. *)
-
-  val to_list : t -> Triple.t list
+  val of_packed_columns : int array -> int array -> int array -> t
+  (** [of_packed_columns subs preds objs] is the bulk constructor every
+      snapshot load goes through: three equal-length columns of
+      already-interned {!Atom} ids — subject, predicate, and the object
+      packed as [id * 2 + tag] (tag 1 = literal). The store may take
+      ownership of the arrays (callers must not reuse them). Duplicate
+      rows are dropped; the resulting store answers exactly as one
+      filled by [add]ing the rows in order.
+      @raise Invalid_argument when the column lengths differ. *)
 end
 
 module List_store : S
 (** Unindexed, list-backed. O(n) everything; tiny footprint — the
     "keep it lightweight" choice for small superimposed layers. *)
 
+module Columnar_store : S
 (** Triples stored column-wise as parallel int arrays over {!Atom} ids:
     subject / predicate / packed-object columns plus a canonical
     materialized row column. Single-field and pair indexes are
@@ -72,32 +70,23 @@ module List_store : S
     arrays — the compact representation behind the E15 speedups.
     Removals tombstone rows; the store compacts itself when tombstones
     pass half the occupancy (counter and span [store.columnar.compact]).
+    [of_packed_columns] takes ownership of the columns and fills the
+    pre-sized primary set and indexes in one pass — no growth doublings
+    or rehashes — which is what makes binary snapshot recovery beat XML
+    by the E15 margin.
     Single-domain; {!Sharded_columnar} shares it across domains. *)
-module Columnar_store : sig
-  include S
-
-  val of_packed_columns : int array -> int array -> int array -> t
-  (** [of_packed_columns subs preds objs] is the bulk constructor for
-      snapshot recovery: three equal-length columns of already-interned
-      {!Atom} ids — subject, predicate, and the object packed as
-      [id * 2 + tag] (tag 1 = literal). The store takes ownership of
-      the arrays (callers must not reuse them), and the primary set and
-      indexes are pre-sized for the row count and filled in one pass —
-      no growth doublings or rehashes — which is what makes binary
-      snapshot recovery beat XML by the E15 margin. Duplicate rows are
-      dropped.
-      @raise Invalid_argument when the column lengths differ. *)
-end
 
 module Sharded_columnar : S
 (** A {!Columnar_store} per shard, subject-hashed, each shard behind its
     own mutex (lock class [store.shard]). Writes and subject-bound reads
     lock exactly one shard, so domains working on different subjects
     proceed in parallel instead of serializing on one global lock.
-    Cross-shard reads (predicate- or object-bound [select], [size],
-    [to_list], [fold]) lock shards one at a time: each shard is observed
+    Cross-shard reads (predicate- or object-bound [select] and [count],
+    [size]) lock shards one at a time: each shard is observed
     atomically, the whole-store view is not. Locks never nest, so the
-    store cannot deadlock. The name is ["sharded-columnar"]. *)
+    store cannot deadlock. [of_packed_columns] partitions the rows by
+    the same subject hash and bulk-loads each shard with
+    {!Columnar_store}'s constructor. The name is ["sharded-columnar"]. *)
 
 val implementations : (string * (module S)) list
 (** [list], [columnar], and [sharded-columnar]. *)

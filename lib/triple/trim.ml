@@ -27,14 +27,12 @@ type t = {
   mutable observer : (op -> unit) option;
 }
 
-let create ?(store = (module Store.Columnar_store : Store.S)) () =
+let of_pack pack = { pack; counter = 0; txn = None; observer = None }
+let default_store = (module Store.Columnar_store : Store.S)
+
+let create ?(store = default_store) () =
   let (module S) = store in
-  {
-    pack = Pack ((module S), S.create ());
-    counter = 0;
-    txn = None;
-    observer = None;
-  }
+  of_pack (Pack ((module S), S.create ()))
 
 let on_mutate t f = t.observer <- Some f
 let notify t op = match t.observer with Some f -> f op | None -> ()
@@ -132,9 +130,11 @@ let clear t =
   S.clear s;
   notify t Op_clear
 
+(* Straight to the store, not through [select]: enumerating for
+   persistence or introspection is not counted as a [triple.select]. *)
 let to_list t =
   let (Pack ((module S), s)) = t.pack in
-  S.to_list s
+  S.select s
 
 let add_all t triples =
   match t.observer with
@@ -161,8 +161,7 @@ let count_select ?subject ?predicate ?object_ t =
   S.count ?subject ?predicate ?object_ s
 
 let exists ?subject ?predicate ?object_ t =
-  let (Pack ((module S), s)) = t.pack in
-  S.exists ?subject ?predicate ?object_ s
+  count_select ?subject ?predicate ?object_ t > 0
 
 let objects_of t ~subject ~predicate =
   List.map
@@ -298,10 +297,10 @@ let of_xml ?store root =
 
 let save t path = Xml.Print.to_file_atomic path (to_xml t)
 
-let load ?store path =
+let load path =
   match Xml.Parse.file path with
   | Error e -> Error (Xml.Parse.error_to_string e)
-  | Ok root -> of_xml ?store (Xml.Node.strip_whitespace root)
+  | Ok root -> of_xml (Xml.Node.strip_whitespace root)
 
 let equal_contents a b =
   size a = size b
@@ -479,46 +478,31 @@ let triples_of_binary_sections sections =
 
 let to_binary t = Wbin.encode (binary_sections t)
 
-let of_binary_sections ?store sections =
-  match store with
-  | Some _ ->
-      Result.map
-        (fun triples ->
-          let t = create ?store () in
-          add_all t triples;
-          t)
-        (triples_of_binary_sections sections)
-  | None -> (
-      (* Default (columnar) store: intern each distinct atom once and
-         decode the rows straight into global-id columns the store takes
-         ownership of — recovery never materializes a triple list,
-         allocates a per-row tuple, or probes a string hashtable per
-         row. *)
-      match decode_sections sections with
+(* Intern each distinct atom once and decode the rows straight into
+   global-id columns the store takes ownership of — recovery never
+   materializes a triple list, allocates a per-row tuple, or probes a
+   string hashtable per row. Every row is validated before the store is
+   built, so a malformed payload is never a partial load. *)
+let of_binary_sections ?(store = default_store) sections =
+  match decode_sections sections with
+  | Error e -> Error e
+  | Ok (atoms, body, count) -> (
+      let glob = Array.map Atom.intern atoms in
+      let subs = Array.make count 0 in
+      let preds = Array.make count 0 in
+      let objs = Array.make count 0 in
+      let fill row s p packed =
+        subs.(row) <- glob.(s);
+        preds.(row) <- glob.(p);
+        objs.(row) <- (2 * glob.(packed lsr 1)) + (packed land 1)
+      in
+      match iter_rows atoms body count fill with
       | Error e -> Error e
-      | Ok (atoms, body, count) -> (
-          let glob = Array.map Atom.intern atoms in
-          let subs = Array.make count 0 in
-          let preds = Array.make count 0 in
-          let objs = Array.make count 0 in
-          let fill row s p packed =
-            subs.(row) <- glob.(s);
-            preds.(row) <- glob.(p);
-            objs.(row) <- (2 * glob.(packed lsr 1)) + (packed land 1)
-          in
-          match iter_rows atoms body count fill with
-          | Error e -> Error e
-          | Ok () ->
-              let s = Store.Columnar_store.of_packed_columns subs preds objs in
-              Ok
-                {
-                  pack = Pack ((module Store.Columnar_store), s);
-                  counter = 0;
-                  txn = None;
-                  observer = None;
-                }))
+      | Ok () ->
+          let (module S) = store in
+          Ok (of_pack (Pack ((module S), S.of_packed_columns subs preds objs))))
 
-let of_binary ?store payload =
+let of_binary payload =
   match Wbin.decode payload with
   | Error e -> Error ("binary snapshot: " ^ e)
-  | Ok sections -> of_binary_sections ?store sections
+  | Ok sections -> of_binary_sections sections

@@ -27,6 +27,8 @@ val mem : t -> Triple.t -> bool
 val size : t -> int
 val clear : t -> unit
 val to_list : t -> Triple.t list
+(** Every triple: the store's unbound selection. *)
+
 val add_all : t -> Triple.t list -> unit
 
 val select :
@@ -42,9 +44,9 @@ val count_select :
 
 val exists :
   ?subject:string -> ?predicate:string -> ?object_:Triple.obj -> t -> bool
-(** [exists ... t] is [select ... t <> []] without allocating the result
-    list; stores short-circuit on the first match. [exists ~subject] is
-    the fast emptiness probe {!new_id} uses. *)
+(** [exists ... t] is [count_select ... t > 0]: no result list is
+    allocated. [exists ~subject] is the emptiness probe {!new_id}
+    uses. *)
 
 val object_of : t -> subject:string -> predicate:string -> Triple.obj option
 (** Convenience: the object of the (unique) matching triple; [None] when
@@ -139,7 +141,7 @@ val save : t -> string -> (unit, string) result
     ({!Si_xmlk.Print.to_file_atomic}); a crash mid-write never leaves a
     torn store file. I/O trouble is an [Error], not an exception. *)
 
-val load : ?store:(module Store.S) -> string -> (t, string) result
+val load : string -> (t, string) result
 
 (** {1 Binary persistence (the compact hot-path format)}
 
@@ -154,7 +156,7 @@ val load : ?store:(module Store.S) -> string -> (t, string) result
 val to_binary : t -> string
 (** The full container: header plus [atoms] and [triples] sections. *)
 
-val of_binary : ?store:(module Store.S) -> string -> (t, string) result
+val of_binary : string -> (t, string) result
 (** Inverse of {!to_binary}. Any malformation — bad container, a
     section missing, an atom id out of range, a short row — is an
     [Error], never a partial load. *)
@@ -171,8 +173,9 @@ val binary_sections : t -> (string * string) list
 val of_binary_sections :
   ?store:(module Store.S) -> (string * string) list -> (t, string) result
 (** {!of_binary} over an already-decoded container (other sections are
-    ignored). The default store is built straight from packed columns;
-    an explicit [?store] is filled row by row. *)
+    ignored), into [?store] (default {!Store.Columnar_store}). Every
+    store is built the same way: the rows are validated and decoded to
+    interned columns, then handed to {!Store.S.of_packed_columns}. *)
 
 val triples_of_binary_sections :
   (string * string) list -> (Triple.t list, string) result

@@ -72,6 +72,9 @@ type server = {
 let port s = s.s_port
 
 let serve ?(addr = "127.0.0.1") ~port handler =
+  (* A write to a peer that reset its socket must fail that connection
+     with EPIPE, not kill the process with SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match
     (try
        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -28,7 +28,9 @@ type server
 val serve :
   ?addr:string -> port:int -> (string -> string) -> (server, string) result
 (** Listen on [addr] (default localhost) and [port] — 0 picks an
-    ephemeral port, read it back with {!port}. *)
+    ephemeral port, read it back with {!port}. Sets SIGPIPE to ignored
+    for the process, so a peer that resets its socket drops only its
+    own connection. *)
 
 val port : server -> int
 

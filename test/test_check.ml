@@ -243,7 +243,7 @@ let test_hierarchy_declared () =
     [
       "server.session"; "server.jobq"; "server.job"; "server.writer";
       "wal.registry"; "slimpad.ship.round"; "wal.log"; "wal.ship";
-      "slimpad.ship.wake"; "wal.transport.local"; "store.shard";
+      "slimpad.ship.wake"; "store.shard";
       "atom.table"; "obs.registry"; "obs.span.ring"; "obs.histogram";
     ];
   (* Ranks are strictly increasing in the sorted listing: no ties, so

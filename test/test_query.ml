@@ -314,9 +314,7 @@ module Counting_store = struct
     B.select ?subject ?predicate ?object_ s
 
   let count = B.count
-  let exists = B.exists
-  let fold = B.fold
-  let to_list = B.to_list
+  let of_packed_columns = B.of_packed_columns
 end
 
 let test_limit_stops_enumerating () =

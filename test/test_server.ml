@@ -496,6 +496,15 @@ let test_server_survives_garbage () =
       | _ -> Alcotest.fail "expected Err for unknown tag")
   | Error e -> Alcotest.failf "no error response: %s" e);
   Unix.close fd;
+  (* A client that sends a request and resets its socket before the
+     answer: the server's write fails on that connection alone. *)
+  for _ = 1 to 3 do
+    let fd = raw_conn () in
+    sok "send" (Tcp.send_frame fd (Proto.encode_request Proto.Stats));
+    Unix.sleepf 0.001;
+    Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+    Unix.close fd
+  done;
   (* The server is still alive for well-behaved clients. *)
   with_client server (fun c ->
       check_bool "still serving" true (req c "ping" Proto.Ping = Proto.Pong));

@@ -469,6 +469,43 @@ let test_wal_compact_idempotent () =
   ok (Slimpad.wal_close app3);
   cleanup_wal path
 
+let test_wal_snapshot_into_sharded_store () =
+  (* Recovery from a binary snapshot takes the one packed-column load
+     path for the store the server runs, and the pad answers like the
+     list oracle holding the same triples. *)
+  let open Si_triple in
+  let app, _, _, _, _, _ = fig4_app () in
+  let path = fresh_wal_path () in
+  ok (Slimpad.enable_wal app path);
+  ok (Slimpad.wal_compact app);
+  ok (Slimpad.wal_close app);
+  let app2, rc =
+    ok
+      (Slimpad.open_wal ~store:(module Store.Sharded_columnar)
+         (fig4_desktop ()) path)
+  in
+  check_bool "recovered from snapshot" true rc.Slimpad.from_snapshot;
+  let trim = Dmi.trim (Slimpad.dmi app2) in
+  check "store" "sharded-columnar" (Trim.store_name trim);
+  let triples = Trim.to_list (Dmi.trim (Slimpad.dmi app)) in
+  let oracle = Trim.create ~store:(module Store.List_store) () in
+  Trim.add_all oracle triples;
+  let answers t =
+    List.map
+      (fun (tr : Triple.t) ->
+        ( List.sort Triple.compare
+            (Trim.select ~subject:tr.subject t
+            @ Trim.select ~predicate:tr.predicate ~object_:tr.object_ t),
+          Trim.count_select ~subject:tr.subject ~predicate:tr.predicate t ))
+      triples
+  in
+  check_int "size" (List.length triples) (Trim.size trim);
+  check_bool "answers like the list oracle" true
+    (answers trim = answers oracle);
+  check_same_state app app2;
+  ok (Slimpad.wal_close app2);
+  cleanup_wal path
+
 let test_wal_torn_tail_recovery () =
   let app, _, smith, _, _, _ = fig4_app () in
   let path = fresh_wal_path () in
@@ -703,6 +740,8 @@ let suite =
     ("wal: enable refuses an existing log", `Quick,
      test_wal_enable_refuses_existing);
     ("wal: compaction idempotent", `Quick, test_wal_compact_idempotent);
+    ("wal: binary snapshot recovers into the sharded store", `Quick,
+     test_wal_snapshot_into_sharded_store);
     ("wal: torn tail recovery", `Quick, test_wal_torn_tail_recovery);
     ("wal: rollback keeps log & memory agreeing", `Quick,
      test_wal_rollback_consistency);

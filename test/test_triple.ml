@@ -118,10 +118,10 @@ let store_tests (module S : Store.S) =
       (S.select ~subject:"s1" ~predicate:"scrapMark" s = []);
     check_bool "po empty after remove" true
       (S.select ~predicate:"scrapMark" ~object_:(Triple.resource "m1") s = []);
-    check_bool "exists sp false after remove" false
-      (S.exists ~subject:"s1" ~predicate:"scrapMark" s);
-    check_bool "exists po false after remove" false
-      (S.exists ~predicate:"scrapMark" ~object_:(Triple.resource "m1") s)
+    check_int "count sp zero after remove" 0
+      (S.count ~subject:"s1" ~predicate:"scrapMark" s);
+    check_int "count po zero after remove" 0
+      (S.count ~predicate:"scrapMark" ~object_:(Triple.resource "m1") s)
   in
   let test_count_exists () =
     let s = make () in
@@ -136,25 +136,25 @@ let store_tests (module S : Store.S) =
     check_int "count miss" 0 (S.count ~subject:"zz" s);
     check_int "count mismatched combo" 0
       (S.count ~subject:"b1" ~predicate:"markId" s);
-    check_bool "exists subject" true (S.exists ~subject:"s1" s);
-    check_bool "exists sp" true (S.exists ~subject:"s1" ~predicate:"scrapName" s);
+    let exists ?subject ?predicate ?object_ s =
+      S.count ?subject ?predicate ?object_ s > 0
+    in
+    check_bool "exists subject" true (exists ~subject:"s1" s);
+    check_bool "exists sp" true (exists ~subject:"s1" ~predicate:"scrapName" s);
+    check_bool "exists so" true
+      (exists ~subject:"s1" ~object_:(Triple.resource "m1") s);
     check_bool "exists po" true
-      (S.exists ~predicate:"scrapMark" ~object_:(Triple.resource "m1") s);
-    check_bool "exists all" true (S.exists s);
-    check_bool "exists miss" false (S.exists ~subject:"zz" s);
+      (exists ~predicate:"scrapMark" ~object_:(Triple.resource "m1") s);
+    check_bool "exists all" true (exists s);
+    check_bool "exists miss" false (exists ~subject:"zz" s);
     ignore (S.remove s t3);
     check_int "count tracks removal" 0
       (S.count ~subject:"s1" ~predicate:"scrapName" s);
     check_bool "exists tracks removal" false
-      (S.exists ~subject:"s1" ~predicate:"scrapName" s);
+      (exists ~subject:"s1" ~predicate:"scrapName" s);
     S.clear s;
-    check_bool "exists on empty" false (S.exists s);
+    check_bool "exists on empty" false (exists s);
     check_int "count on empty" 0 (S.count s)
-  in
-  let test_fold_to_list () =
-    let s = make () in
-    check_int "fold count" 5 (S.fold (fun _ n -> n + 1) s 0);
-    check_int "to_list" 5 (List.length (S.to_list s))
   in
   [
     (prefix ^ ": set semantics", `Quick, test_set_semantics);
@@ -164,7 +164,6 @@ let store_tests (module S : Store.S) =
     (prefix ^ ": pair indexes survive remove/re-add", `Quick,
      test_pair_index_stale);
     (prefix ^ ": count & exists", `Quick, test_count_exists);
-    (prefix ^ ": fold & to_list", `Quick, test_fold_to_list);
   ]
 
 (* ------------------------------------------------- parallel (domains) *)
@@ -190,7 +189,7 @@ let test_sharded_parallel_mixed_ops () =
     for i = 1 to 200 do
       let subject = Printf.sprintf "d1-r%d" (i mod 200) in
       ignore (S.select ~subject ~predicate:"p" s);
-      ignore (S.exists ~subject s)
+      ignore (S.count ~subject s)
     done
   in
   let domains =
@@ -354,7 +353,7 @@ let test_sharded_columnar_parallel () =
               (Triple.literal (string_of_int i))));
       if i mod 50 = 0 then ignore (S.select ~predicate:"p" s);
       if i mod 25 = 0 then
-        ignore (S.exists ~subject:(Printf.sprintf "sc%d-r%d" d (i / 2)) s)
+        ignore (S.count ~subject:(Printf.sprintf "sc%d-r%d" d (i / 2)) s)
     done
   in
   let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
@@ -693,14 +692,14 @@ let prop_all_stores_conform =
           in
           let exists =
             [
-              S.exists ~subject:tr.subject s;
-              S.exists ~subject:tr.subject ~predicate:tr.predicate s;
-              S.exists ~predicate:tr.predicate ~object_:tr.object_ s;
+              S.count ~subject:tr.subject s > 0;
+              S.count ~subject:tr.subject ~predicate:tr.predicate s > 0;
+              S.count ~predicate:tr.predicate ~object_:tr.object_ s > 0;
             ]
           in
           (selects, counts, exists)
         in
-        (trace, S.size s, sort (S.to_list s), List.map per_probe probes)
+        (trace, S.size s, sort (S.select s), List.map per_probe probes)
       in
       match Store.implementations with
       | [] -> true
@@ -717,18 +716,117 @@ let prop_xml_roundtrip =
       | Ok trim2 -> Trim.equal_contents trim trim2
       | Error _ -> false)
 
+(* Every bound-field select and count a probe triple can drive, in the
+   order the store returns the rows. *)
+let probe_answers trim probes =
+  List.map
+    (fun (tr : Triple.t) ->
+      let s = tr.subject and p = tr.predicate and o = tr.object_ in
+      ( [
+          Trim.select ~subject:s trim;
+          Trim.select ~predicate:p trim;
+          Trim.select ~object_:o trim;
+          Trim.select ~subject:s ~predicate:p trim;
+          Trim.select ~subject:s ~object_:o trim;
+          Trim.select ~predicate:p ~object_:o trim;
+          Trim.select ~subject:s ~predicate:p ~object_:o trim;
+        ],
+        [
+          Trim.count_select ~subject:s trim;
+          Trim.count_select ~subject:s ~predicate:p trim;
+          Trim.count_select ~subject:s ~object_:o trim;
+          Trim.count_select ~predicate:p ~object_:o trim;
+        ] ))
+    probes
+
+let sorted_answers trim probes =
+  List.map
+    (fun (selects, counts) ->
+      (List.map (List.sort Triple.compare) selects, counts))
+    (probe_answers trim probes)
+
+(* The one load path, into every store: a snapshot decoded through
+   [of_packed_columns] answers every probe like the list oracle, and in
+   the same row order as the same store filled row by row. *)
 let prop_binary_roundtrip =
   QCheck.Test.make ~name:"TRIM binary round-trip" ~count:200 arbitrary_triples
     (fun triples ->
       let trim = Trim.create () in
       Trim.add_all trim triples;
       let bytes = Trim.to_binary trim in
-      match Trim.of_binary bytes with
-      | Ok trim2 ->
-          Trim.equal_contents trim trim2
-          (* Equal stores produce equal bytes (rows are sorted). *)
-          && String.equal bytes (Trim.to_binary trim2)
+      let oracle = Trim.create ~store:(module Store.List_store) () in
+      Trim.add_all oracle triples;
+      let sections = Result.get_ok (Si_wal.Binary.decode bytes) in
+      let rows = Result.get_ok (Trim.triples_of_binary_sections sections) in
+      let loads_like_oracle (name, store) =
+        match Trim.of_binary_sections ~store sections with
+        | Error _ -> false
+        | Ok loaded ->
+            let filled = Trim.create ~store () in
+            Trim.add_all filled rows;
+            String.equal name (Trim.store_name loaded)
+            && sorted_answers loaded triples = sorted_answers oracle triples
+            && probe_answers loaded triples = probe_answers filled triples
+            (* Equal stores produce equal bytes (rows are sorted). *)
+            && String.equal bytes (Trim.to_binary loaded)
+      in
+      (match Trim.of_binary bytes with
+      | Ok trim2 -> Trim.equal_contents trim trim2
       | Error _ -> false)
+      && List.for_all loads_like_oracle Store.implementations)
+
+(* A hand-built [atoms] + [triples] payload: [atoms] are the strings,
+   each row is (subject, predicate, packed object) in local ids. *)
+let binary_payload atoms rows =
+  let u32 = Si_wal.Record.add_u32 in
+  let a = Buffer.create 64 and t = Buffer.create 64 in
+  u32 a (List.length atoms);
+  List.iter
+    (fun s ->
+      u32 a (String.length s);
+      Buffer.add_string a s)
+    atoms;
+  u32 t (List.length rows);
+  List.iter
+    (fun (s, p, o) ->
+      u32 t s;
+      u32 t p;
+      u32 t o)
+    rows;
+  [
+    (Trim.atoms_section, Buffer.contents a);
+    (Trim.triples_section, Buffer.contents t);
+  ]
+
+let test_binary_hand_built () =
+  let atoms = [ "bin-s"; "bin-p"; "bin-o" ] in
+  let row = (0, 1, 2 * 2) in
+  let stored = Triple.make "bin-s" "bin-p" (Triple.resource "bin-o") in
+  let load store rows =
+    Trim.of_binary_sections ~store (binary_payload atoms rows)
+  in
+  List.iter
+    (fun (name, store) ->
+      (match load store [ row; row ] with
+      | Error e -> Alcotest.failf "%s: duplicate row: %s" name e
+      | Ok t ->
+          check_int (name ^ ": duplicate row dropped") 1 (Trim.size t);
+          Alcotest.(check (list triple_testable))
+            (name ^ ": one row selected") [ stored ]
+            (Trim.select ~subject:"bin-s" t));
+      check_bool
+        (name ^ ": out-of-range atom id is an error")
+        true
+        (Result.is_error (load store [ row; (0, 7, 2 * 2) ])))
+    Store.implementations
+
+let binary_roundtrip_test =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_binary_roundtrip in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      test_binary_hand_built () )
 
 let prop_binary_xml_agree =
   QCheck.Test.make ~name:"binary and XML persistence agree" ~count:100
@@ -754,13 +852,10 @@ let prop_view_is_sound =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [
-      prop_all_stores_conform;
-      prop_xml_roundtrip;
-      prop_binary_roundtrip;
-      prop_binary_xml_agree;
-      prop_view_is_sound;
-    ]
+    [ prop_all_stores_conform; prop_xml_roundtrip ]
+  @ [ binary_roundtrip_test ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_binary_xml_agree; prop_view_is_sound ]
 
 let suite =
   [ ("triple basics", `Quick, test_triple_basics) ]
