@@ -679,7 +679,19 @@ let lint_tests () =
       ~name:(Printf.sprintf "full catalog @ %d triples" n)
       (staged (fun () -> Si_lint.run ctx))
   in
-  List.map bench [ 1_000; 10_000 ]
+  (* SL004 alone on the 200-patient worksheet: the conformance check that
+     a strict bundle apply runs in its preflight. *)
+  let conformance =
+    let desk = Desktop.create () in
+    let spec = Si_workload.Icu.build_desktop ~patients:200 ~seed:1 desk in
+    let app = Si_slimpad.Slimpad.create desk in
+    ignore (Si_workload.Icu.build_worksheet app spec);
+    let ctx = Si_lint.context ~dmi:(Si_slimpad.Slimpad.dmi app) () in
+    let rule = Option.get (Si_lint.find_rule "SL004") in
+    Test.make ~name:"SL004 @ 200-patient ICU pad"
+      (staged (fun () -> Si_lint.run ~rules:[ rule ] ctx))
+  in
+  List.map bench [ 1_000; 10_000 ] @ [ conformance ]
 
 (* ----------------------------------------- substrate parsing benches *)
 

@@ -143,7 +143,9 @@ let rule_dangling_connector =
       code = "SL002";
       rule_name = "dangling-connector";
       rule_severity = Error;
-      synopsis = "a connector whose domain or range is not a construct";
+      synopsis =
+        "a connector whose domain or range is not a construct, or whose \
+         cardinality is not an integer";
       check =
         (fun ctx ->
           with_trim ctx (fun trim ->
@@ -163,6 +165,12 @@ let rule_dangling_connector =
                                  what id;
                              ]
                      in
+                     let card what pred =
+                       match Trim.literal_of trim ~subject:c ~predicate:pred with
+                       | Some l when int_of_string_opt l = None ->
+                           [ Printf.sprintf "%s %S is not an integer" what l ]
+                       | Some _ | None -> []
+                     in
                      let problems =
                        (match
                           Trim.literal_of trim ~subject:c
@@ -172,6 +180,8 @@ let rule_dangling_connector =
                        | Some _ -> [])
                        @ endpoint "domain" Vocab.domain
                        @ endpoint "range" Vocab.range
+                       @ card "minCard" Vocab.min_card
+                       @ card "maxCard" Vocab.max_card
                      in
                      if problems = [] then None
                      else

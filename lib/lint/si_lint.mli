@@ -23,7 +23,8 @@
       bad merges); re-saving drops them.
     - [SL002] [dangling-connector] (error) — a resource typed
       [mm:Connector] whose domain or range does not resolve to a
-      construct. {!Si_metamodel.Model.connectors} silently drops such
+      construct, or whose [mm:minCard]/[mm:maxCard] literal is not an
+      integer. {!Si_metamodel.Model.compile} silently drops such
       connectors, so validation never sees properties under them.
     - [SL003] [generalization-cycle] (error) — a cycle in
       [rdfs:subClassOf] among constructs. Traversals are cycle-safe but

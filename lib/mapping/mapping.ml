@@ -27,12 +27,11 @@ let add_rule t rule =
         (Printf.sprintf "no construct %S in target model %s" rule.to_construct
            (Model.name t.target))
   | Some _, Some target_construct ->
+      let target = Model.compile t.target in
       let bad_predicate =
         List.find_opt
           (fun (_, target_pred) ->
-            Model.find_connector t.target ~domain:target_construct
-              ~predicate:target_pred
-            = None)
+            Model.connector_for target target_construct target_pred = None)
           rule.property_map
       in
       (match bad_predicate with

@@ -21,71 +21,48 @@ type change =
   | Generalization_added of { sub : string; super : string }
   | Generalization_removed of { sub : string; super : string }
 
-let kind_name = function
-  | Model.Construct -> "construct"
-  | Model.Literal_construct -> "literal"
-  | Model.Mark_construct -> "mark"
-
-let card_name { Model.min_card; max_card } =
-  Printf.sprintf "%d..%s" min_card
-    (match max_card with Some n -> string_of_int n | None -> "*")
-
-(* Keyed views of a model. *)
-let construct_table m =
-  List.map (fun c -> (Model.construct_name m c, c)) (Model.constructs m)
-
-let connector_table m =
-  List.map
-    (fun conn ->
-      ( ( Model.construct_name m conn.Model.conn_domain,
-          conn.Model.conn_predicate ),
-        conn ))
-    (Model.connectors m)
-
-(* Direct generalization edges, as (sub name, super name). We re-derive
-   direct edges from the transitive closure: an edge sub->super is direct
-   when no other supertype of sub has super as its supertype... that is
-   overcautious; instead compare the transitive closures, which is what
-   compatibility cares about. *)
-let generalization_closure m =
-  List.concat_map
-    (fun c ->
-      List.map
-        (fun s -> (Model.construct_name m c, Model.construct_name m s))
-        (Model.superconstructs m c))
-    (Model.constructs m)
-  |> List.sort_uniq compare
-
+(* Matching is by name: constructs by their name, connectors by (domain
+   name, predicate), generalization by the (sub, super) name pairs of the
+   transitive closure, which is what compatibility cares about. *)
 let diff old_model new_model =
-  let old_constructs = construct_table old_model in
-  let new_constructs = construct_table new_model in
+  let old_cm = Model.compile old_model and new_cm = Model.compile new_model in
+  let lookup_construct cm name =
+    List.find_opt (fun c -> Model.name_of cm c = name) (Model.constructs cm)
+  in
   let construct_changes =
     List.filter_map
-      (fun (name, c) ->
-        match List.assoc_opt name new_constructs with
+      (fun c ->
+        let name = Model.name_of old_cm c in
+        match lookup_construct new_cm name with
         | None -> Some (Construct_removed name)
         | Some c' when c'.Model.kind <> c.Model.kind ->
             Some
               (Construct_rekinded
                  {
                    name;
-                   from_ = kind_name c.Model.kind;
-                   to_ = kind_name c'.Model.kind;
+                   from_ = Model.kind_name c.Model.kind;
+                   to_ = Model.kind_name c'.Model.kind;
                  })
         | Some _ -> None)
-      old_constructs
+      (Model.constructs old_cm)
     @ List.filter_map
-        (fun (name, _) ->
-          if List.mem_assoc name old_constructs then None
-          else Some (Construct_added name))
-        new_constructs
+        (fun c ->
+          let name = Model.name_of new_cm c in
+          if lookup_construct old_cm name = None then Some (Construct_added name)
+          else None)
+        (Model.constructs new_cm)
   in
-  let old_conns = connector_table old_model in
-  let new_conns = connector_table new_model in
+  let key cm conn =
+    (Model.name_of cm conn.Model.conn_domain, conn.Model.conn_predicate)
+  in
+  let lookup_connector cm k =
+    List.find_opt (fun conn -> key cm conn = k) (Model.connectors cm)
+  in
   let connector_changes =
     List.concat_map
-      (fun ((domain, predicate), conn) ->
-        match List.assoc_opt (domain, predicate) new_conns with
+      (fun conn ->
+        let ((domain, predicate) as k) = key old_cm conn in
+        match lookup_connector new_cm k with
         | None -> [ Connector_removed { domain; predicate } ]
         | Some conn' ->
             let card_change =
@@ -95,39 +72,40 @@ let diff old_model new_model =
                     {
                       domain;
                       predicate;
-                      from_ = card_name conn.Model.card;
-                      to_ = card_name conn'.Model.card;
+                      from_ = Model.card_to_string conn.Model.card;
+                      to_ = Model.card_to_string conn'.Model.card;
                     };
                 ]
               else []
             in
-            let range_change =
-              let range m c = Model.construct_name m c.Model.conn_range in
-              if range old_model conn <> range new_model conn' then
-                [
-                  Range_changed
-                    {
-                      domain;
-                      predicate;
-                      from_ = range old_model conn;
-                      to_ = range new_model conn';
-                    };
-                ]
-              else []
-            in
-            card_change @ range_change)
-      old_conns
+            let from_ = Model.name_of old_cm conn.Model.conn_range in
+            let to_ = Model.name_of new_cm conn'.Model.conn_range in
+            card_change
+            @
+            if from_ <> to_ then
+              [ Range_changed { domain; predicate; from_; to_ } ]
+            else [])
+      (Model.connectors old_cm)
     @ List.filter_map
-        (fun ((domain, predicate), conn) ->
-          if List.mem_assoc (domain, predicate) old_conns then None
+        (fun conn ->
+          let domain, predicate = key new_cm conn in
+          if lookup_connector old_cm (domain, predicate) <> None then None
           else
             Some
               (Connector_added
                  { domain; predicate; min_card = conn.Model.card.Model.min_card }))
-        new_conns
+        (Model.connectors new_cm)
   in
-  let old_gen = generalization_closure old_model in
-  let new_gen = generalization_closure new_model in
+  let isa_pairs cm =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun s -> (Model.name_of cm c, Model.name_of cm s))
+          (Model.ancestors cm c))
+      (Model.constructs cm)
+    |> List.sort_uniq compare
+  in
+  let old_gen = isa_pairs old_cm and new_gen = isa_pairs new_cm in
   let gen_changes =
     List.filter_map
       (fun (sub, super) ->

@@ -71,16 +71,13 @@ let kind_of_class c =
 let construct_id_of_name m construct_name =
   m.model_id ^ "/" ^ construct_name
 
+let construct_of_id m construct_id =
+  Option.bind
+    (Trim.resource_of m.trim ~subject:construct_id ~predicate:Vocab.rdf_type)
+    (fun c -> Option.map (fun kind -> { construct_id; kind }) (kind_of_class c))
+
 let find_construct m construct_name =
-  let construct_id = construct_id_of_name m construct_name in
-  match
-    Trim.resource_of m.trim ~subject:construct_id ~predicate:Vocab.rdf_type
-  with
-  | Some c -> (
-      match kind_of_class c with
-      | Some kind -> Some { construct_id; kind }
-      | None -> None)
-  | None -> None
+  construct_of_id m (construct_id_of_name m construct_name)
 
 let make_construct m kind construct_name =
   match find_construct m construct_name with
@@ -113,49 +110,7 @@ let construct_name m c =
   | Some label -> label
   | None -> c.construct_id
 
-let construct_of_id m construct_id =
-  match
-    Trim.resource_of m.trim ~subject:construct_id ~predicate:Vocab.rdf_type
-  with
-  | Some c -> (
-      match kind_of_class c with
-      | Some kind -> Some { construct_id; kind }
-      | None -> None)
-  | None -> None
-
-let constructs m =
-  Trim.select ~predicate:Vocab.in_model ~object_:(Triple.resource m.model_id)
-    m.trim
-  |> List.filter_map (fun (tr : Triple.t) -> construct_of_id m tr.subject)
-  |> List.sort (fun a b ->
-         String.compare (construct_name m a) (construct_name m b))
-
 (* ------------------------------------------------------- generalization *)
-
-let direct_supers m c =
-  Trim.select ~subject:c.construct_id ~predicate:Vocab.rdfs_subclass_of m.trim
-  |> List.filter_map (fun (tr : Triple.t) ->
-         match tr.object_ with
-         | Triple.Resource r -> construct_of_id m r
-         | Triple.Literal _ -> None)
-
-let superconstructs m c =
-  let seen = Hashtbl.create 8 in
-  Hashtbl.add seen c.construct_id ();
-  let rec walk frontier acc =
-    match frontier with
-    | [] -> List.rev acc
-    | x :: rest ->
-        let supers =
-          direct_supers m x
-          |> List.filter (fun s -> not (Hashtbl.mem seen s.construct_id))
-        in
-        List.iter (fun s -> Hashtbl.add seen s.construct_id ()) supers;
-        walk (rest @ supers) (List.rev_append supers acc)
-  in
-  walk [ c ] []
-
-let direct_superconstructs = direct_supers
 
 let generalize m ~sub ~super =
   ignore
@@ -163,15 +118,26 @@ let generalize m ~sub ~super =
        (Triple.make sub.construct_id Vocab.rdfs_subclass_of
           (Triple.resource super.construct_id)))
 
-let is_subconstruct_of m ~sub ~super =
-  sub.construct_id = super.construct_id
-  || List.exists
-       (fun c -> c.construct_id = super.construct_id)
-       (superconstructs m sub)
-
 (* ----------------------------------------------------------- connectors *)
 
 let connector_id_of m ~domain ~name = domain ^ "#" ^ name ^ "@" ^ m.model_id
+
+(* A cardinality literal that is not an integer makes the connector
+   unreadable, like a dangling domain or range. An absent minimum is 0, an
+   absent maximum unbounded. *)
+let card_of_id m connector_id =
+  let bound p =
+    Option.map int_of_string_opt
+      (Trim.literal_of m.trim ~subject:connector_id ~predicate:p)
+  in
+  match (bound Vocab.min_card, bound Vocab.max_card) with
+  | Some None, _ | _, Some None -> None
+  | min_card, max_card ->
+      Some
+        {
+          min_card = Option.value (Option.join min_card) ~default:0;
+          max_card = Option.join max_card;
+        }
 
 let connector_of_id m connector_id =
   match
@@ -180,28 +146,13 @@ let connector_of_id m connector_id =
       Trim.resource_of m.trim ~subject:connector_id ~predicate:Vocab.range )
   with
   | Some conn_predicate, Some domain_id, Some range_id -> (
-      match (construct_of_id m domain_id, construct_of_id m range_id) with
-      | Some conn_domain, Some conn_range ->
-          let min_card =
-            Trim.literal_of m.trim ~subject:connector_id
-              ~predicate:Vocab.min_card
-            |> Option.map int_of_string
-            |> Option.value ~default:0
-          in
-          let max_card =
-            Option.bind
-              (Trim.literal_of m.trim ~subject:connector_id
-                 ~predicate:Vocab.max_card)
-              int_of_string_opt
-          in
-          Some
-            {
-              connector_id;
-              conn_predicate;
-              conn_domain;
-              conn_range;
-              card = { min_card; max_card };
-            }
+      match
+        ( construct_of_id m domain_id,
+          construct_of_id m range_id,
+          card_of_id m connector_id )
+      with
+      | Some conn_domain, Some conn_range, Some card ->
+          Some { connector_id; conn_predicate; conn_domain; conn_range; card }
       | _ -> None)
   | _ -> None
 
@@ -239,31 +190,6 @@ let connect m ~name ~from_ ~to_ ?(card = any_card) () =
         conn_range = to_;
         card;
       }
-
-let connectors m =
-  Trim.select ~predicate:Vocab.in_model ~object_:(Triple.resource m.model_id)
-    m.trim
-  |> List.filter_map (fun (tr : Triple.t) ->
-         match
-           Trim.resource_of m.trim ~subject:tr.subject
-             ~predicate:Vocab.rdf_type
-         with
-         | Some c when c = Vocab.connector -> connector_of_id m tr.subject
-         | _ -> None)
-  |> List.sort (fun a b -> String.compare a.connector_id b.connector_id)
-
-let connectors_of m c =
-  let family = c :: superconstructs m c in
-  connectors m
-  |> List.filter (fun conn ->
-         List.exists
-           (fun fc -> fc.construct_id = conn.conn_domain.construct_id)
-           family)
-
-let find_connector m ~domain ~predicate =
-  List.find_opt
-    (fun conn -> conn.conn_predicate = predicate)
-    (connectors_of m domain)
 
 (* ------------------------------------------------------------ instances *)
 
@@ -331,42 +257,164 @@ let conforms_to trim inst =
          | Triple.Literal _ -> None)
   |> List.sort String.compare
 
-(* ------------------------------------------------------------- display *)
+(* ------------------------------------------------------------ compiled *)
 
-let pp ppf m =
-  Format.fprintf ppf "<model %s: %d constructs, %d connectors>" m.model_name
-    (List.length (constructs m))
-    (List.length (connectors m))
+module Smap = Map.Make (String)
+
+(* What the compiled form knows about one construct of the model. *)
+type member = {
+  self : construct;
+  label : string;
+  parents : construct list;
+  closure : construct Smap.t;  (* superconstructs by id, [self] excluded *)
+  applicable : connector list;
+}
+
+type compiled = {
+  source : t;
+  members : (string, member) Hashtbl.t;
+  sorted_constructs : construct list;
+  sorted_connectors : connector list;
+}
+
+let direct_parents m c =
+  Trim.select ~subject:c.construct_id ~predicate:Vocab.rdfs_subclass_of m.trim
+  |> List.filter_map (fun (tr : Triple.t) ->
+         match tr.object_ with
+         | Triple.Resource r -> construct_of_id m r
+         | Triple.Literal _ -> None)
+
+(* Cycle-safe: a construct already reached is not walked again. *)
+let closure m c =
+  let rec walk seen = function
+    | [] -> seen
+    | x :: rest ->
+        let fresh =
+          List.filter
+            (fun s -> not (Smap.mem s.construct_id seen))
+            (direct_parents m x)
+        in
+        walk
+          (List.fold_left (fun acc s -> Smap.add s.construct_id s acc) seen
+             fresh)
+          (fresh @ rest)
+  in
+  Smap.remove c.construct_id (walk (Smap.singleton c.construct_id c) [ c ])
+
+let compile m =
+  let in_model =
+    Trim.select ~predicate:Vocab.in_model ~object_:(Triple.resource m.model_id)
+      m.trim
+    |> List.map (fun (tr : Triple.t) -> tr.subject)
+  in
+  let constructs = List.filter_map (construct_of_id m) in_model in
+  let connectors =
+    List.filter_map
+      (fun id ->
+        match Trim.resource_of m.trim ~subject:id ~predicate:Vocab.rdf_type with
+        | Some c when c = Vocab.connector -> connector_of_id m id
+        | _ -> None)
+      in_model
+    |> List.sort (fun a b -> String.compare a.connector_id b.connector_id)
+  in
+  let members = Hashtbl.create 32 in
+  List.iter
+    (fun c ->
+      let closure = closure m c in
+      let applicable =
+        List.filter
+          (fun conn ->
+            let d = conn.conn_domain.construct_id in
+            d = c.construct_id || Smap.mem d closure)
+          connectors
+      in
+      Hashtbl.replace members c.construct_id
+        {
+          self = c;
+          label = construct_name m c;
+          parents = direct_parents m c;
+          closure;
+          applicable;
+        })
+    constructs;
+  let label c = (Hashtbl.find members c.construct_id).label in
+  {
+    source = m;
+    members;
+    sorted_constructs =
+      List.sort (fun a b -> String.compare (label a) (label b)) constructs;
+    sorted_connectors = connectors;
+  }
+
+let source cm = cm.source
+let constructs cm = cm.sorted_constructs
+let connectors cm = cm.sorted_connectors
+
+let member cm c = Hashtbl.find_opt cm.members c.construct_id
+
+let name_of cm c =
+  match member cm c with
+  | Some mb -> mb.label
+  | None -> construct_name cm.source c
+
+let parents cm c =
+  match member cm c with Some mb -> mb.parents | None -> []
+
+let ancestors cm c =
+  match member cm c with
+  | Some mb -> List.map snd (Smap.bindings mb.closure)
+  | None -> []
+
+let is_a cm ~sub ~super =
+  sub.construct_id = super.construct_id
+  ||
+  match member cm sub with
+  | Some mb -> Smap.mem super.construct_id mb.closure
+  | None -> false
+
+let applicable cm c =
+  match member cm c with Some mb -> mb.applicable | None -> []
+
+let connector_for cm c predicate =
+  List.find_opt (fun conn -> conn.conn_predicate = predicate) (applicable cm c)
+
+let construct_of_instance cm inst =
+  match instance_type cm.source.trim inst with
+  | None -> None
+  | Some type_id -> (
+      match Hashtbl.find_opt cm.members type_id with
+      | Some mb -> Some mb.self
+      | None -> None)
+
+type range_error =
+  | Literal_expected of string
+  | Resource_expected of string
+  | Dangling of string
+  | Outside_model of string
+  | Wrong_construct of string * construct
+
+let check_range cm conn value =
+  match (conn.conn_range.kind, value) with
+  | Literal_construct, Triple.Literal _ -> Ok ()
+  | Literal_construct, Triple.Resource r -> Error (Literal_expected r)
+  | (Construct | Mark_construct), Triple.Literal l -> Error (Resource_expected l)
+  | (Construct | Mark_construct), Triple.Resource r -> (
+      match instance_type cm.source.trim r with
+      | None -> Error (Dangling r)
+      | Some type_id -> (
+          match Hashtbl.find_opt cm.members type_id with
+          | None -> Error (Outside_model r)
+          | Some mb ->
+              if is_a cm ~sub:mb.self ~super:conn.conn_range then Ok ()
+              else Error (Wrong_construct (r, mb.self))))
+
+(* ------------------------------------------------------------ spelling *)
+
+let kind_name = function
+  | Construct -> "construct"
+  | Literal_construct -> "literal"
+  | Mark_construct -> "mark"
 
 let card_to_string { min_card; max_card } =
   Printf.sprintf "%d..%s" min_card
     (match max_card with Some n -> string_of_int n | None -> "*")
-
-let describe m =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "model %s\n" m.model_name);
-  List.iter
-    (fun c ->
-      let kind =
-        match c.kind with
-        | Construct -> "construct"
-        | Literal_construct -> "literal"
-        | Mark_construct -> "mark"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s %s\n" kind (construct_name m c));
-      List.iter
-        (fun s ->
-          Buffer.add_string buf
-            (Printf.sprintf "    isa %s\n" (construct_name m s)))
-        (direct_supers m c);
-      List.iter
-        (fun conn ->
-          if conn.conn_domain.construct_id = c.construct_id then
-            Buffer.add_string buf
-              (Printf.sprintf "    %s : %s [%s]\n" conn.conn_predicate
-                 (construct_name m conn.conn_range)
-                 (card_to_string conn.card)))
-        (connectors m))
-    (constructs m);
-  Buffer.contents buf

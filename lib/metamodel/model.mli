@@ -63,9 +63,6 @@ val construct : t -> string -> construct
 val literal_construct : t -> string -> construct
 val mark_construct : t -> string -> construct
 val find_construct : t -> string -> construct option
-val constructs : t -> construct list
-(** All constructs of the model, sorted by name. *)
-
 val construct_name : t -> construct -> string
 
 (** {1 Connectors} *)
@@ -77,26 +74,9 @@ val connect :
     values are instances of [to_] (or literals, if [to_] is a literal
     construct). Idempotent on (domain, name). *)
 
-val connectors : t -> connector list
-val connectors_of : t -> construct -> connector list
-(** Connectors applicable to a construct, including those inherited through
-    generalization. *)
-
-val find_connector : t -> domain:construct -> predicate:string ->
-  connector option
-(** Looks on the construct and its (transitive) superconstructs. *)
-
 (** {1 Generalization} *)
 
 val generalize : t -> sub:construct -> super:construct -> unit
-val superconstructs : t -> construct -> construct list
-(** Transitive, nearest first; cycle-safe. *)
-
-val direct_superconstructs : t -> construct -> construct list
-(** Only the declared [rdfs:subClassOf] edges, not the closure. *)
-
-val is_subconstruct_of : t -> sub:construct -> super:construct -> bool
-(** Reflexive-transitive. *)
 
 (** {1 Instances}
 
@@ -135,9 +115,75 @@ val conform : t -> instance:string -> to_:string -> unit
 
 val conforms_to : Si_triple.Trim.t -> string -> string list
 
-val pp : Format.formatter -> t -> unit
-(** One-line summary: name, construct count, connector count. *)
+(** {1 The compiled model}
 
-val describe : t -> string
-(** Multi-line human-readable dump of the model: constructs with their
-    kinds, connectors with domains/ranges/cardinalities, generalizations. *)
+    Conformance checking, the generated DMI, schema diff and the DSL
+    printer look a model up rather than re-query its triples. [compile]
+    reads the model's triples once and answers those lookups. It is a
+    value, not a cache: it reflects the model as of the call, and a
+    caller that changes the model compiles again. *)
+
+type compiled
+
+val compile : t -> compiled
+(** Builds every lookup below from the model's triples, once. A
+    connector whose domain or range does not resolve to a construct, or
+    whose [mm:minCard]/[mm:maxCard] literal is not an integer, is dropped
+    ([Si_lint]'s SL002 reports it). *)
+
+val source : compiled -> t
+
+val constructs : compiled -> construct list
+(** The model's constructs, sorted by name. *)
+
+val connectors : compiled -> connector list
+(** The model's connectors, sorted by connector id. *)
+
+val name_of : compiled -> construct -> string
+(** Like {!construct_name}, without a lookup for constructs the model
+    mentions. *)
+
+val parents : compiled -> construct -> construct list
+(** The declared [rdfs:subClassOf] edges of a construct of this model, not
+    the closure. *)
+
+val ancestors : compiled -> construct -> construct list
+(** The transitive superconstructs of a construct of this model, by id;
+    cycle-safe, and the construct itself is not among them. *)
+
+val is_a : compiled -> sub:construct -> super:construct -> bool
+(** Reflexive-transitive generalization, for a [sub] of this model. *)
+
+val applicable : compiled -> construct -> connector list
+(** The connectors a construct of this model carries, inherited ones
+    included, sorted by connector id. *)
+
+val connector_for : compiled -> construct -> string -> connector option
+(** The first {!applicable} connector with the given predicate. *)
+
+val construct_of_instance : compiled -> string -> construct option
+(** The construct of this model a resource is typed by. *)
+
+(** Why a value does not fit a connector's range. *)
+type range_error =
+  | Literal_expected of string  (** the resource found instead *)
+  | Resource_expected of string  (** the literal found instead *)
+  | Dangling of string  (** a resource with no type *)
+  | Outside_model of string  (** a resource typed by another model *)
+  | Wrong_construct of string * construct
+      (** a resource of this model and its construct, which is not the
+          range nor one of its subconstructs *)
+
+val check_range :
+  compiled -> connector -> Si_triple.Triple.obj -> (unit, range_error) result
+(** The one test of a value against a connector's range: literal or
+    resource as the range's kind asks, and a resource typed by the range
+    construct or a subconstruct of it. *)
+
+(** {1 Spelling} *)
+
+val kind_name : construct_kind -> string
+(** ["construct"], ["literal"] or ["mark"]. *)
+
+val card_to_string : cardinality -> string
+(** ["1..1"], ["0..*"]. *)

@@ -47,16 +47,17 @@ type line_kind =
   | Lisa of string * string
   | Lprop of string * string * string * Model.cardinality
 
+let kinds =
+  List.map
+    (fun k -> (Model.kind_name k, k))
+    [ Model.Construct; Model.Literal_construct; Model.Mark_construct ]
+
 let classify line =
   match tokens line with
   | [] -> Ok None
   | [ "model"; name ] when valid_ident name -> Ok (Some (Lmodel name))
-  | [ "construct"; name ] when valid_ident name ->
-      Ok (Some (Ldecl (Model.Construct, name)))
-  | [ "literal"; name ] when valid_ident name ->
-      Ok (Some (Ldecl (Model.Literal_construct, name)))
-  | [ "mark"; name ] when valid_ident name ->
-      Ok (Some (Ldecl (Model.Mark_construct, name)))
+  | [ keyword; name ] when valid_ident name && List.mem_assoc keyword kinds ->
+      Ok (Some (Ldecl (List.assoc keyword kinds, name)))
   | [ sub; "isa"; super ] when valid_ident sub && valid_ident super ->
       Ok (Some (Lisa (sub, super)))
   | [ dotted; ":"; range ] when valid_ident range -> (
@@ -138,24 +139,16 @@ let parse_file trim path =
   | text -> parse trim text
   | exception Sys_error msg -> Error msg
 
-let card_to_string { Model.min_card; max_card } =
-  Printf.sprintf "[%d..%s]" min_card
-    (match max_card with Some n -> string_of_int n | None -> "*")
-
 let print m =
+  let cm = Model.compile m in
+  let name = Model.name_of cm in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "model %s\n\n" (Model.name m));
-  let constructs = Model.constructs m in
+  let constructs = Model.constructs cm in
   List.iter
     (fun c ->
-      let keyword =
-        match c.Model.kind with
-        | Model.Construct -> "construct"
-        | Model.Literal_construct -> "literal"
-        | Model.Mark_construct -> "mark"
-      in
       Buffer.add_string buf
-        (Printf.sprintf "%s %s\n" keyword (Model.construct_name m c)))
+        (Printf.sprintf "%s %s\n" (Model.kind_name c.Model.kind) (name c)))
     constructs;
   Buffer.add_char buf '\n';
   List.iter
@@ -165,18 +158,17 @@ let print m =
       List.iter
         (fun super ->
           Buffer.add_string buf
-            (Printf.sprintf "%s isa %s\n" (Model.construct_name m c)
-               (Model.construct_name m super)))
-        (Model.direct_superconstructs m c))
+            (Printf.sprintf "%s isa %s\n" (name c) (name super)))
+        (Model.parents cm c))
     constructs;
   Buffer.add_char buf '\n';
   List.iter
     (fun conn ->
       Buffer.add_string buf
-        (Printf.sprintf "%s.%s : %s %s\n"
-           (Model.construct_name m conn.Model.conn_domain)
+        (Printf.sprintf "%s.%s : %s [%s]\n"
+           (name conn.Model.conn_domain)
            conn.Model.conn_predicate
-           (Model.construct_name m conn.Model.conn_range)
-           (card_to_string conn.Model.card)))
-    (Model.connectors m);
+           (name conn.Model.conn_range)
+           (Model.card_to_string conn.Model.card)))
+    (Model.connectors cm);
   Buffer.contents buf

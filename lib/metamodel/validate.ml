@@ -11,138 +11,92 @@ type report = { checked : int; violations : violation list }
 
 let violation ?predicate resource problem = { resource; predicate; problem }
 
-(* The construct an instance is typed by, if it belongs to this model. *)
-let construct_of_instance m inst =
-  match Model.instance_type (Model.trim m) inst with
-  | None -> None
-  | Some type_id ->
-      List.find_opt
-        (fun c -> c.Model.construct_id = type_id)
-        (Model.constructs m)
+let range_problem cm conn error =
+  let range = Model.name_of cm conn.Model.conn_range in
+  match error with
+  | Model.Literal_expected r ->
+      Printf.sprintf "expected a literal %s, found resource <%s>" range r
+  | Model.Resource_expected l ->
+      Printf.sprintf "expected a %s resource, found literal %S" range l
+  | Model.Dangling r -> Printf.sprintf "dangling reference to <%s>" r
+  | Model.Outside_model r -> Printf.sprintf "<%s> is typed outside this model" r
+  | Model.Wrong_construct (r, actual) ->
+      Printf.sprintf "expected a %s, found a %s (<%s>)" range
+        (Model.name_of cm actual) r
 
-let check_property_value m conn inst obj =
-  let trim = Model.trim m in
-  let range = conn.Model.conn_range in
-  let pred = conn.Model.conn_predicate in
-  match (range.Model.kind, obj) with
-  | Model.Literal_construct, Triple.Literal _ -> []
-  | Model.Literal_construct, Triple.Resource r ->
-      [
-        violation ~predicate:pred inst
-          (Printf.sprintf "expected a literal %s, found resource <%s>"
-             (Model.construct_name m range)
-             r);
-      ]
-  | (Model.Construct | Model.Mark_construct), Triple.Literal l ->
-      [
-        violation ~predicate:pred inst
-          (Printf.sprintf "expected a %s resource, found literal %S"
-             (Model.construct_name m range)
-             l);
-      ]
-  | (Model.Construct | Model.Mark_construct), Triple.Resource r -> (
-      match Model.instance_type trim r with
-      | None ->
-          [
-            violation ~predicate:pred inst
-              (Printf.sprintf "dangling reference to <%s>" r);
-          ]
-      | Some type_id -> (
-          match
-            List.find_opt
-              (fun c -> c.Model.construct_id = type_id)
-              (Model.constructs m)
-          with
-          | None ->
-              [
-                violation ~predicate:pred inst
-                  (Printf.sprintf "<%s> is typed outside this model" r);
-              ]
-          | Some actual ->
-              if Model.is_subconstruct_of m ~sub:actual ~super:range then []
-              else
-                [
-                  violation ~predicate:pred inst
-                    (Printf.sprintf "expected a %s, found a %s (<%s>)"
-                       (Model.construct_name m range)
-                       (Model.construct_name m actual)
-                       r);
-                ]))
-
-let check_instance m inst =
-  let trim = Model.trim m in
-  match construct_of_instance m inst with
+(* Violations of one instance: unknown properties, range mismatches, and
+   cardinality breaches. *)
+let check_instance cm inst =
+  match Model.construct_of_instance cm inst with
   | None ->
       [ violation inst "instance is not typed by a construct of this model" ]
   | Some c ->
-      let applicable = Model.connectors_of m c in
+      let applicable = Model.applicable cm c in
       let plain_props =
-        Trim.select ~subject:inst trim
+        Trim.select ~subject:inst (Model.trim (Model.source cm))
         |> List.filter (fun (tr : Triple.t) ->
                not (Vocab.is_reserved_predicate tr.predicate))
       in
       (* Unknown properties + range checks. *)
       let value_violations =
-        List.concat_map
+        List.filter_map
           (fun (tr : Triple.t) ->
-            match
-              List.find_opt
-                (fun conn -> conn.Model.conn_predicate = tr.predicate)
-                applicable
-            with
+            match Model.connector_for cm c tr.predicate with
             | None ->
-                [
-                  violation ~predicate:tr.predicate inst
-                    (Printf.sprintf
-                       "no connector %S on construct %s (or its supertypes)"
-                       tr.predicate (Model.construct_name m c));
-                ]
-            | Some conn -> check_property_value m conn inst tr.object_)
+                Some
+                  (violation ~predicate:tr.predicate inst
+                     (Printf.sprintf
+                        "no connector %S on construct %s (or its supertypes)"
+                        tr.predicate (Model.name_of cm c)))
+            | Some conn -> (
+                match Model.check_range cm conn tr.object_ with
+                | Ok () -> None
+                | Error e ->
+                    Some
+                      (violation ~predicate:tr.predicate inst
+                         (range_problem cm conn e))))
           plain_props
       in
       (* Cardinalities for every applicable connector. *)
       let cardinality_violations =
         List.concat_map
           (fun conn ->
+            let pred = conn.Model.conn_predicate in
             let count =
               List.length
                 (List.filter
-                   (fun (tr : Triple.t) ->
-                     tr.predicate = conn.Model.conn_predicate)
+                   (fun (tr : Triple.t) -> tr.predicate = pred)
                    plain_props)
             in
             let { Model.min_card; max_card } = conn.Model.card in
-            let too_few =
-              if count < min_card then
+            (if count < min_card then
+               [
+                 violation ~predicate:pred inst
+                   (Printf.sprintf "%d value(s), at least %d required" count
+                      min_card);
+               ]
+             else [])
+            @
+            match max_card with
+            | Some n when count > n ->
                 [
-                  violation ~predicate:conn.Model.conn_predicate inst
-                    (Printf.sprintf "%d value(s), at least %d required" count
-                       min_card);
+                  violation ~predicate:pred inst
+                    (Printf.sprintf "%d value(s), at most %d allowed" count n);
                 ]
-              else []
-            in
-            let too_many =
-              match max_card with
-              | Some n when count > n ->
-                  [
-                    violation ~predicate:conn.Model.conn_predicate inst
-                      (Printf.sprintf "%d value(s), at most %d allowed" count n);
-                  ]
-              | Some _ | None -> []
-            in
-            too_few @ too_many)
+            | Some _ | None -> [])
           applicable
       in
       value_violations @ cardinality_violations
 
 let check m =
+  let cm = Model.compile m in
   let instances =
-    List.concat_map (fun c -> Model.instances_of m c) (Model.constructs m)
+    List.concat_map (Model.instances_of m) (Model.constructs cm)
     |> List.sort_uniq String.compare
   in
   {
     checked = List.length instances;
-    violations = List.concat_map (check_instance m) instances;
+    violations = List.concat_map (check_instance cm) instances;
   }
 
 let is_valid m = (check m).violations = []

@@ -13,15 +13,11 @@ type violation = {
 
 type report = { checked : int; violations : violation list }
 
-val check_instance : Model.t -> string -> violation list
-(** Violations of one instance: unknown properties (no connector on the
-    instance's construct or its superconstructs), range mismatches
-    (literal where a resource is required and vice versa; a resource
-    whose type is not the range construct or a subconstruct; a dangling
-    resource reference), and cardinality breaches. *)
-
 val check : Model.t -> report
-(** Check every instance of every construct of the model. *)
+(** Check every instance of every construct of the model against the
+    model compiled once for the call: unknown properties (no connector on
+    the instance's construct or its superconstructs), range mismatches
+    ({!Model.check_range}), and cardinality breaches. *)
 
 val is_valid : Model.t -> bool
 val pp_violation : Format.formatter -> violation -> unit

@@ -2,196 +2,141 @@ module Model = Si_metamodel.Model
 module Trim = Si_triple.Trim
 module Triple = Si_triple.Triple
 
-(* Generation happens at [for_model] time: the model's constructs and the
-   connectors applicable to each (including inherited ones) are compiled
-   into lookup tables, exactly the specialization a code-generating DMI
-   would bake in. The tables snapshot the model as of generation; evolving
-   the model requires regenerating the DMI (as it would with generated
-   code). *)
-type t = {
-  model : Model.t;
-  constructs_by_id : (string, Model.construct) Hashtbl.t;
-  connectors_by_construct : (string, (string * Model.connector) list) Hashtbl.t;
-      (* construct id -> (predicate, connector), inherited included *)
-}
+(* Generation is [Model.compile]: the model's constructs and the
+   connectors applicable to each (inherited ones included) become lookups,
+   the specialization a code-generating DMI would bake in. The compiled
+   form snapshots the model as of generation; evolving the model requires
+   regenerating the DMI (as it would with generated code). *)
+type t = Model.compiled
 
-let for_model model =
-  let constructs_by_id = Hashtbl.create 16 in
-  let connectors_by_construct = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      Hashtbl.replace constructs_by_id c.Model.construct_id c;
-      Hashtbl.replace connectors_by_construct c.Model.construct_id
-        (List.map
-           (fun conn -> (conn.Model.conn_predicate, conn))
-           (Model.connectors_of model c)))
-    (Model.constructs model);
-  { model; constructs_by_id; connectors_by_construct }
+let for_model = Model.compile
+let model = Model.source
 
 let operations g =
-  let constructs = Model.constructs g.model in
+  let name = Model.name_of g in
   let creates, deletes =
     List.filter_map
       (fun c ->
         match c.Model.kind with
         | Model.Literal_construct -> None
-        | Model.Construct | Model.Mark_construct ->
-            Some (Model.construct_name g.model c))
-      constructs
+        | Model.Construct | Model.Mark_construct -> Some (name c))
+      (Model.constructs g)
     |> fun names ->
     ( List.map (fun n -> "Create_" ^ n) names,
       List.map (fun n -> "Delete_" ^ n) names )
   in
   let updates =
-    List.concat_map
+    List.map
       (fun conn ->
-        let domain = Model.construct_name g.model conn.Model.conn_domain in
-        [ Printf.sprintf "Update_%s_%s" domain conn.Model.conn_predicate ])
-      (Model.connectors g.model)
+        Printf.sprintf "Update_%s_%s" (name conn.Model.conn_domain)
+          conn.Model.conn_predicate)
+      (Model.connectors g)
   in
   List.sort String.compare (creates @ deletes @ updates)
 
+let ( let* ) = Result.bind
+let trim g = Model.trim (model g)
+
 let find_construct_checked g name =
-  match Model.find_construct g.model name with
+  match Model.find_construct (model g) name with
   | Some c -> Ok c
   | None ->
       Error
-        (Printf.sprintf "model %s has no construct %S" (Model.name g.model)
+        (Printf.sprintf "model %s has no construct %S" (Model.name (model g))
            name)
 
 let create g construct_name =
-  match find_construct_checked g construct_name with
-  | Error _ as e -> e
-  | Ok c -> (
-      match c.Model.kind with
-      | Model.Literal_construct ->
-          Error
-            (Printf.sprintf "%S is a literal construct; literals have no \
-                             instances" construct_name)
-      | Model.Construct | Model.Mark_construct ->
-          Ok (Model.new_instance g.model c ()))
-
-(* The construct an instance of THIS model is typed by. *)
-let construct_of_instance g inst =
-  match Model.instance_type (Model.trim g.model) inst with
-  | None -> None
-  | Some type_id -> Hashtbl.find_opt g.constructs_by_id type_id
+  let* c = find_construct_checked g construct_name in
+  match c.Model.kind with
+  | Model.Literal_construct ->
+      Error
+        (Printf.sprintf "%S is a literal construct; literals have no instances"
+           construct_name)
+  | Model.Construct | Model.Mark_construct ->
+      Ok (Model.new_instance (model g) c ())
 
 let construct_of g inst =
-  Option.map (Model.construct_name g.model) (construct_of_instance g inst)
+  Option.map (Model.name_of g) (Model.construct_of_instance g inst)
 
 let instance_checked g inst =
-  match construct_of_instance g inst with
+  match Model.construct_of_instance g inst with
   | Some c -> Ok c
   | None ->
       Error
         (Printf.sprintf "<%s> is not an instance of model %s" inst
-           (Model.name g.model))
+           (Model.name (model g)))
 
 let delete g inst =
-  match instance_checked g inst with
-  | Error _ as e -> e
-  | Ok _ -> Ok (Model.delete_instance g.model inst)
+  let* _ = instance_checked g inst in
+  Ok (Model.delete_instance (model g) inst)
 
 let instances g construct_name =
-  match find_construct_checked g construct_name with
-  | Error _ as e -> Result.map (fun _ -> []) e
-  | Ok c -> Ok (Model.instances_of g.model c)
+  let* c = find_construct_checked g construct_name in
+  Ok (Model.instances_of (model g) c)
 
 (* Checked property access: the connector must exist on the instance's
    construct, and the value must fit its range. *)
 let connector_checked g inst pred =
-  match instance_checked g inst with
-  | Error _ as e -> e
-  | Ok c -> (
-      let applicable =
-        Option.value
-          (Hashtbl.find_opt g.connectors_by_construct c.Model.construct_id)
-          ~default:[]
-      in
-      match List.assoc_opt pred applicable with
-      | Some conn -> Ok conn
-      | None ->
-          Error
-            (Printf.sprintf "construct %s has no connector %S"
-               (Model.construct_name g.model c)
-               pred))
+  let* c = instance_checked g inst in
+  match Model.connector_for g c pred with
+  | Some conn -> Ok conn
+  | None ->
+      Error
+        (Printf.sprintf "construct %s has no connector %S" (Model.name_of g c)
+           pred)
 
-let value_fits g conn value =
-  let range = conn.Model.conn_range in
-  match (range.Model.kind, value) with
-  | Model.Literal_construct, Triple.Literal _ -> Ok ()
-  | Model.Literal_construct, Triple.Resource r ->
+let check_value g conn value =
+  match Model.check_range g conn value with
+  | Ok () -> Ok ()
+  | Error e ->
+      let pred = conn.Model.conn_predicate in
+      let range = Model.name_of g conn.Model.conn_range in
       Error
-        (Printf.sprintf "%s expects a literal %s, got resource <%s>"
-           conn.Model.conn_predicate
-           (Model.construct_name g.model range)
-           r)
-  | (Model.Construct | Model.Mark_construct), Triple.Literal l ->
-      Error
-        (Printf.sprintf "%s expects a %s resource, got literal %S"
-           conn.Model.conn_predicate
-           (Model.construct_name g.model range)
-           l)
-  | (Model.Construct | Model.Mark_construct), Triple.Resource r -> (
-      match construct_of_instance g r with
-      | None -> Error (Printf.sprintf "<%s> is not an instance of this model" r)
-      | Some actual ->
-          if Model.is_subconstruct_of g.model ~sub:actual ~super:range then
-            Ok ()
-          else
-            Error
-              (Printf.sprintf "%s expects a %s, <%s> is a %s"
-                 conn.Model.conn_predicate
-                 (Model.construct_name g.model range)
-                 r
-                 (Model.construct_name g.model actual)))
+        (match e with
+        | Model.Literal_expected r ->
+            Printf.sprintf "%s expects a literal %s, got resource <%s>" pred
+              range r
+        | Model.Resource_expected l ->
+            Printf.sprintf "%s expects a %s resource, got literal %S" pred
+              range l
+        | Model.Dangling r | Model.Outside_model r ->
+            Printf.sprintf "<%s> is not an instance of this model" r
+        | Model.Wrong_construct (r, actual) ->
+            Printf.sprintf "%s expects a %s, <%s> is a %s" pred range r
+              (Model.name_of g actual))
 
 let set g inst pred value =
-  match connector_checked g inst pred with
-  | Error _ as e -> e
-  | Ok conn -> (
-      match value_fits g conn value with
-      | Error _ as e -> e
-      | Ok () ->
-          Model.set_property g.model inst pred value;
-          Ok ())
-
-let current_count g inst pred =
-  List.length (Trim.select ~subject:inst ~predicate:pred (Model.trim g.model))
+  let* conn = connector_checked g inst pred in
+  let* () = check_value g conn value in
+  Model.set_property (model g) inst pred value;
+  Ok ()
 
 let add g inst pred value =
-  match connector_checked g inst pred with
-  | Error _ as e -> e
-  | Ok conn -> (
-      match value_fits g conn value with
-      | Error _ as e -> e
-      | Ok () -> (
-          match conn.Model.card.Model.max_card with
-          | Some max when current_count g inst pred >= max ->
-              Error
-                (Printf.sprintf "%s allows at most %d value(s)" pred max)
-          | Some _ | None ->
-              Model.add_property g.model inst pred value;
-              Ok ()))
+  let* conn = connector_checked g inst pred in
+  let* () = check_value g conn value in
+  match conn.Model.card.Model.max_card with
+  | Some max
+    when List.length (Trim.select ~subject:inst ~predicate:pred (trim g))
+         >= max ->
+      Error (Printf.sprintf "%s allows at most %d value(s)" pred max)
+  | Some _ | None ->
+      Model.add_property (model g) inst pred value;
+      Ok ()
 
 let unset g inst pred =
-  match connector_checked g inst pred with
-  | Error _ as e -> Result.map (fun _ -> 0) e
-  | Ok _ ->
-      let trim = Model.trim g.model in
-      let doomed = Trim.select ~subject:inst ~predicate:pred trim in
-      List.iter (fun tr -> ignore (Trim.remove trim tr)) doomed;
-      Ok (List.length doomed)
+  let* _ = connector_checked g inst pred in
+  let doomed = Trim.select ~subject:inst ~predicate:pred (trim g) in
+  List.iter (fun tr -> ignore (Trim.remove (trim g) tr)) doomed;
+  Ok (List.length doomed)
 
-let get g inst pred = Model.property g.model inst pred
+let get g inst pred = Model.property (model g) inst pred
 
 let get_all g inst pred =
-  Trim.select ~subject:inst ~predicate:pred (Model.trim g.model)
+  Trim.select ~subject:inst ~predicate:pred (trim g)
   |> List.map (fun (tr : Triple.t) -> tr.object_)
 
 let get_literal g inst pred =
-  Trim.literal_of (Model.trim g.model) ~subject:inst ~predicate:pred
+  Trim.literal_of (trim g) ~subject:inst ~predicate:pred
 
 let get_resource g inst pred =
-  Trim.resource_of (Model.trim g.model) ~subject:inst ~predicate:pred
+  Trim.resource_of (trim g) ~subject:inst ~predicate:pred

@@ -20,10 +20,10 @@
 type t
 
 val for_model : Si_metamodel.Model.t -> t
-(** Generates the DMI: compiles the model's constructs and per-construct
-    connector tables (inheritance resolved) into lookup structures. The
-    result snapshots the model as of this call — extend the model, then
-    regenerate, exactly as with generated code. *)
+(** Generates the DMI: {!Si_metamodel.Model.compile}, which looks up the
+    model's constructs and the connectors each carries (inheritance
+    resolved). The result snapshots the model as of this call — extend the
+    model, then regenerate, exactly as with generated code. *)
 
 val operations : t -> string list
 (** The generated operation names, Fig 10 style: [Create_Bundle],
