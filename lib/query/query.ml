@@ -431,15 +431,19 @@ let optimize trim t =
   done;
   { t with patterns = List.rev !chosen }
 
-(* Allocation-free substring check: does [l] contain [s]? The naive
-   [String.sub] loop allocated a fresh string per candidate position. *)
-let contains_substring l s =
-  let nl = String.length s and hl = String.length l in
-  nl = 0
-  ||
-  let rec matches_at i j = j = nl || (l.[i + j] = s.[j] && matches_at i (j + 1)) in
-  let rec scan i = i + nl <= hl && (matches_at i 0 || scan (i + 1)) in
-  scan 0
+(* Does [l] contain [s]? Allocates nothing: both loops are top-level
+   functions, because local ones would capture [l] and [s] in closures
+   built on every call. *)
+let rec matches_at l s i j =
+  j = String.length s || (l.[i + j] = s.[j] && matches_at l s i (j + 1))
+
+(* [s] is not empty: the first character is compared in the loop, and
+   [matches_at] runs only where it matches. *)
+let rec contains_from l s i =
+  i + String.length s <= String.length l
+  && ((l.[i] = s.[0] && matches_at l s i 1) || contains_from l s (i + 1))
+
+let contains_substring l s = s = "" || contains_from l s 0
 
 (* Raised to abandon the search once [limit] distinct bindings exist and no
    ordering is requested. *)

@@ -94,5 +94,11 @@ val run : Si_triple.Trim.t -> t -> binding list
 
 val count : Si_triple.Trim.t -> t -> int
 val binding_to_string : binding -> string
+
+val contains_substring : string -> string -> bool
+(** [contains_substring l s]: does [l] contain [s]? The test behind
+    [filter contains(?v, s)], also used to search scrap labels.
+    Allocates nothing. *)
+
 val variables : t -> string list
 (** All variables appearing in the patterns, sorted. *)

@@ -358,7 +358,11 @@ let handle t (req : Proto.request) : Proto.response * [ `Go | `Shutdown ] =
           | [] -> (Err (Printf.sprintf "no scrap matching %S" scrap), `Go)
           | s :: _ ->
               ( with_writer t (fun () ->
-                    (* The resilient path may journal quarantine state. *)
+                    (* A resolve journals nothing. It holds the lock
+                       because it reads the Manager's mark table and the
+                       Desktop's document tables, which [Proto.Apply]
+                       writes under this same lock (Si_bundle.apply:
+                       Manager.put_mark, base restore). *)
                     match Slimpad.double_click app s with
                     | Ok res -> Proto.Resolved res.Mark.res_display
                     | Error e -> Proto.Err e),

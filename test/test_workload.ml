@@ -95,6 +95,34 @@ let test_icu_valid_store () =
     (List.length
        (Dmi.validate (Slimpad.dmi app)).Si_metamodel.Validate.violations)
 
+(* A resolve's select budget: finding a label costs the same number of
+   triple selects on a 10-patient and a 60-patient worksheet, so a
+   select per scrap or per bundle of the pad fails here. *)
+let test_icu_find_select_budget () =
+  let selects = Si_obs.Registry.counter "triple.select" in
+  let selects_to_find patients =
+    let app, _, pad = icu_app ~patients 21 in
+    let t = Slimpad.dmi app in
+    let last_patient =
+      List.nth (Dmi.nested_bundles t (Dmi.root_bundle t pad)) (patients - 1)
+    in
+    let labs = List.hd (Dmi.nested_bundles t last_patient) in
+    let target =
+      Dmi.create_scrap t ~name:"Troponin 0.4" ~mark_id:"m" ~parent:labs ()
+    in
+    let before = Si_obs.Counter.get selects in
+    let found = Slimpad.find_scraps app pad "Troponin" in
+    let used = Si_obs.Counter.get selects - before in
+    Alcotest.(check (list string))
+      "found once" [ Dmi.scrap_id target ] (List.map Dmi.scrap_id found);
+    used
+  in
+  let small = selects_to_find 10 and large = selects_to_find 60 in
+  check_int "same selects at 10 and 60 patients" small large;
+  (* The name select, the pad's root, the name re-read, the holding
+     bundle, and one step up per bundle from the lab bundle. *)
+  check_int "selects per find" 6 large
+
 (* ---------------------------------------------------------- concordance *)
 
 let test_concordance () =
@@ -189,6 +217,7 @@ let suite =
     ("icu: deterministic in seed", `Quick, test_icu_deterministic);
     ("icu: todos annotated", `Quick, test_icu_todos_annotated);
     ("icu: store conformant", `Quick, test_icu_valid_store);
+    ("icu: find_scraps select budget", `Quick, test_icu_find_select_budget);
     ("concordance: per-term bundles (C1)", `Quick, test_concordance);
     ("concordance: missing term", `Quick, test_concordance_missing_term);
     ("concordance: context", `Quick, test_concordance_context);
