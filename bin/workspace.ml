@@ -50,7 +50,7 @@ let load_desktop dir =
         problems := Printf.sprintf "%s: %s" entry msg :: !problems
       in
       if entry = "pad.xml" then ()
-      else if Si_xmlk.Print.is_temp_path entry then
+      else if Si_io.Io.is_temp entry then
         (* Leftover from a crash mid-save: the real file was never
            replaced, so the temp copy is garbage — never load it. *)
         ()
@@ -75,9 +75,9 @@ let load_desktop dir =
         | Ok d -> Desktop.add_text desk entry d
         | Error e -> fail e
       else if ends_with ~suffix:".html" entry then
-        match In_channel.with_open_bin path In_channel.input_all with
-        | source -> Desktop.add_html desk entry source
-        | exception Sys_error e -> fail e
+        match Si_io.Io.read_file path with
+        | Ok source -> Desktop.add_html desk entry source
+        | Error e -> fail e
       else if ends_with ~suffix:".xml" entry then
         match Si_xmlk.Parse.file path with
         | Ok root -> Desktop.add_xml desk entry root

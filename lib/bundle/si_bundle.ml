@@ -86,20 +86,9 @@ type base_writer =
   string ->
   (bool, string) result
 
-let protect_io f =
-  match f () with v -> Ok v | exception Sys_error e -> Error e
-
-let read_file path =
-  protect_io (fun () -> In_channel.with_open_bin path In_channel.input_all)
-
-let write_file ~path contents =
-  protect_io (fun () ->
-      let temp = path ^ Xml.Print.temp_suffix in
-      let oc = open_out_bin temp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc contents);
-      Sys.rename temp path)
+(* Kept as names because callers outside the library use them. *)
+let read_file = Si_io.Io.read_file
+let write_file ~path contents = Si_io.Io.write_atomic path contents
 
 module Layout = struct
   (* Mirrors the workspace convention: rich documents live on disk

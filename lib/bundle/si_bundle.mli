@@ -228,5 +228,8 @@ val to_archive :
 (** {1 File I/O} *)
 
 val read_file : string -> (string, string) result
+(** {!Si_io.Io.read_file}. *)
+
 val write_file : path:string -> string -> (unit, string) result
-(** Atomic (temp + rename), like every other persist in the tree. *)
+(** {!Si_io.Io.write_atomic}: temp + rename, and on failure an [Error]
+    with no target written and no temp left behind. *)

@@ -331,10 +331,7 @@ let parse input =
       | [ (Node.Element _ as root) ] -> root
       | _ -> Node.element "html" forest)
 
-let from_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> Ok (parse contents)
-  | exception Sys_error msg -> Error msg
+let from_file path = Result.map parse (Si_io.Io.read_file path)
 
 (* ------------------------------------------------------------ accessors *)
 

@@ -929,13 +929,13 @@ let orphan_temp_files ctx =
             let p = Filename.concat dir name in
             if (try Sys.is_directory p with Sys_error _ -> false) then
               walk acc p
-            else if Si_xmlk.Print.is_temp_path p then p :: acc
+            else if Si_io.Io.is_temp p then p :: acc
             else acc)
           acc entries
   in
   let sibling acc = function
     | Some path ->
-        let t = path ^ Si_xmlk.Print.temp_suffix in
+        let t = Si_io.Io.temp_path path in
         if Sys.file_exists t then t :: acc else acc
     | None -> acc
   in

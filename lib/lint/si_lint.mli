@@ -82,10 +82,10 @@
       bridges, and replication term regressions.
 
     Filesystem hygiene:
-    - [SL307] [orphan-temp-file] (warning, fixable) — a [".si-tmp"]
-      file left by an atomic save interrupted between write and
-      rename. Loaders ignore the suffix, so the orphan is harmless but
-      permanent; {!fix} deletes it.
+    - [SL307] [orphan-temp-file] (warning, fixable) — a
+      {!Si_io.Io.temp_path} file left by an atomic save interrupted
+      between write and rename. Loaders ignore the suffix, so the
+      orphan is harmless but permanent; {!fix} deletes it.
 
     Capture bundles (offline, from the artifact's bytes alone):
     - [SL308] [bundle-malformed] (error) — capture-bundle damage

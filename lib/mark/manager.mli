@@ -162,6 +162,6 @@ val of_xml : t -> Si_xmlk.Node.t -> (unit, string) result
     unchanged. *)
 
 val save : t -> string -> (unit, string) result
-(** Crash-safe: temp file + rename ({!Si_xmlk.Print.to_file_atomic}). *)
+(** Crash-safe: temp file + rename ({!Si_io.Io.write_atomic}). *)
 
 val load_into : t -> string -> (unit, string) result

@@ -134,10 +134,7 @@ let parse trim text =
           apply rest
       | _ -> Error "the first line must be 'model <name>'")
 
-let parse_file trim path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | text -> parse trim text
-  | exception Sys_error msg -> Error msg
+let parse_file trim path = Result.bind (Si_io.Io.read_file path) (parse trim)
 
 let print m =
   let cm = Model.compile m in

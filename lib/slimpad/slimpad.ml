@@ -397,7 +397,10 @@ let store_xml t =
       Dmi.journal_to_xml t.dmi;
     ]
 
-let save t path = Xml.Print.to_file_atomic path (store_xml t)
+let save t path =
+  let xml = Xml.Print.to_string_pretty ~decl:true (store_xml t) in
+  Si_io.Io.write_atomic path xml
+  |> Result.map_error (Printf.sprintf "cannot write %s: %s" path)
 
 let of_store_root ?store ?resilient ?wrap desktop root =
   match root with

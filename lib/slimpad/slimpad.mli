@@ -132,8 +132,8 @@ val render_pad_html : t -> Si_slim.Dmi.pad -> string
 
 val save : t -> string -> (unit, string) result
 (** Crash-safe: written via a temp file renamed into place
-    ({!Si_xmlk.Print.to_file_atomic}); a crash mid-write never leaves a
-    torn store file behind. *)
+    ({!Si_io.Io.write_atomic}); a crash mid-write never leaves a torn
+    store file behind. *)
 
 val load :
   ?resilient:Si_mark.Resilient.t ->

@@ -16,10 +16,7 @@ let index_lines contents =
 let of_string contents = { contents; line_starts = index_lines contents }
 let of_lines lines = of_string (String.concat "\n" lines)
 
-let from_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> Ok (of_string contents)
-  | exception Sys_error msg -> Error msg
+let from_file path = Result.map of_string (Si_io.Io.read_file path)
 
 let to_string doc = doc.contents
 let length doc = String.length doc.contents

@@ -295,7 +295,10 @@ let of_xml ?store root =
       load (Xml.Node.find_children "t" root)
   | _ -> Error "expected a <triples> root element"
 
-let save t path = Xml.Print.to_file_atomic path (to_xml t)
+let save t path =
+  let xml = Xml.Print.to_string_pretty ~decl:true (to_xml t) in
+  Si_io.Io.write_atomic path xml
+  |> Result.map_error (Printf.sprintf "cannot write %s: %s" path)
 
 let load path =
   match Xml.Parse.file path with

@@ -138,8 +138,8 @@ val triples_of_xml : Si_xmlk.Node.t -> (Triple.t list, string) result
 
 val save : t -> string -> (unit, string) result
 (** Crash-safe: written via a temp file renamed into place
-    ({!Si_xmlk.Print.to_file_atomic}); a crash mid-write never leaves a
-    torn store file. I/O trouble is an [Error], not an exception. *)
+    ({!Si_io.Io.write_atomic}); a crash mid-write never leaves a torn
+    store file. I/O trouble is an [Error], not an exception. *)
 
 val load : string -> (t, string) result
 

@@ -57,7 +57,6 @@ let magic_size = String.length log_magic
 let header_size = magic_size + 4
 let snapshot_path path = path ^ ".snap"
 let lock_path path = path ^ ".lock"
-let temp_path path = path ^ ".si-tmp"
 
 let path t = t.path
 let generation t = t.generation
@@ -69,29 +68,10 @@ let set_tee t tee = t.tee <- tee
 
 let protect_io f = try Ok (f ()) with Sys_error msg -> Error (Io msg)
 
-let read_file path =
-  protect_io (fun () ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic)))
-
-(* Atomic replacement: write a sibling temp file, then rename over the
-   destination. This doubles as portable truncation (rewrite the good
-   prefix) so the library needs no [unix] dependency. *)
-let write_file_atomic path contents =
-  Si_check.blocking ~kind:"file-write" @@ fun () ->
-  protect_io (fun () ->
-      let tmp = temp_path path in
-      let oc = open_out_bin tmp in
-      (try
-         output_string oc contents;
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Sys.rename tmp path)
+(* Whole files go through [Si_io.Io]. An atomic rewrite of the good
+   prefix doubles as portable truncation, so the library needs no
+   [ftruncate]. *)
+let io r = Result.map_error (fun msg -> Io msg) r
 
 let header gen =
   let buf = Buffer.create header_size in
@@ -148,7 +128,7 @@ let acquire_lock path =
     if try_write_lock file then Ok ()
     else
       let holder =
-        match read_file file with
+        match io (Si_io.Io.read_file file) with
         | Ok contents -> int_of_string_opt (String.trim contents)
         | Error _ -> None
       in
@@ -237,7 +217,7 @@ let load_snapshot path =
   let file = snapshot_path path in
   if not (Sys.file_exists file) then Ok None
   else
-    match read_file file with
+    match io (Si_io.Io.read_file file) with
     | Error e -> Error e
     | Ok contents -> (
         match parse_snapshot file contents with
@@ -278,7 +258,7 @@ let open_plain ?(policy = default_policy) path =
       if not (Sys.file_exists path) then
         (* Fresh log (or one deleted out from under its snapshot):
            start at the snapshot's generation. *)
-        match write_file_atomic path (header snap_gen) with
+        match io (Si_io.Io.write_atomic path (header snap_gen)) with
         | Error e -> Error e
         | Ok () ->
             finish_open ~path ~policy ~gen:snap_gen ~disk_records:0
@@ -290,7 +270,7 @@ let open_plain ?(policy = default_policy) path =
                   reset_log = false;
                 }
       else
-        match read_file path with
+        match io (Si_io.Io.read_file path) with
         | Error e -> Error e
         | Ok contents -> (
             let total = String.length contents in
@@ -301,7 +281,7 @@ let open_plain ?(policy = default_policy) path =
             | Log_torn_header -> (
                 (* Crash while writing the very first header: nothing
                    after it can exist, reset to the snapshot's view. *)
-                match write_file_atomic path (header snap_gen) with
+                match io (Si_io.Io.write_atomic path (header snap_gen)) with
                 | Error e -> Error e
                 | Ok () ->
                     finish_open ~path ~policy ~gen:snap_gen ~disk_records:0
@@ -316,7 +296,7 @@ let open_plain ?(policy = default_policy) path =
                 if snap_gen > gen then
                   (* Compaction wrote the snapshot but died before
                      truncating the log: the snapshot supersedes it. *)
-                  match write_file_atomic path (header snap_gen) with
+                  match io (Si_io.Io.write_atomic path (header snap_gen)) with
                   | Error e -> Error e
                   | Ok () ->
                       finish_open ~path ~policy ~gen:snap_gen ~disk_records:0
@@ -355,7 +335,9 @@ let open_plain ?(policy = default_policy) path =
                     (* Drop the torn tail on disk before reopening for
                        append, so the file is a valid prefix again. *)
                     match
-                      write_file_atomic path (String.sub contents 0 good_end)
+                      io
+                        (Si_io.Io.write_atomic path
+                           (String.sub contents 0 good_end))
                     with
                     | Error e -> Error e
                     | Ok () -> finish ()))
@@ -443,7 +425,9 @@ let cut_snapshot_plain t state =
       Buffer.add_string snap snap_magic;
       Record.add_u32 snap gen;
       Record.encode snap state;
-      match write_file_atomic (snapshot_path t.path) (Buffer.contents snap) with
+      match
+        io (Si_io.Io.write_atomic (snapshot_path t.path) (Buffer.contents snap))
+      with
       | Error _ as e -> e
       | Ok () -> (
           (* Between here and the log rewrite the snapshot is one
@@ -451,7 +435,7 @@ let cut_snapshot_plain t state =
              discarding the (now redundant) log. *)
           Option.iter close_out_noerr t.oc;
           t.oc <- None;
-          match write_file_atomic t.path (header gen) with
+          match io (Si_io.Io.write_atomic t.path (header gen)) with
           | Error _ as e -> e
           | Ok () -> (
               match open_append t.path with
@@ -523,7 +507,7 @@ let dump path =
   let snap, snap_problems =
     if not (Sys.file_exists snap_file) then (None, [])
     else
-      match read_file snap_file with
+      match io (Si_io.Io.read_file snap_file) with
       | Error e -> (None, [ error_to_string e ])
       | Ok contents -> (
           match parse_snapshot snap_file contents with
@@ -549,7 +533,7 @@ let dump path =
       Error (Io (Printf.sprintf "%s: no log or snapshot present" path))
     else Ok (base [])
   else
-    match read_file path with
+    match io (Si_io.Io.read_file path) with
     | Error e -> Error e
     | Ok contents -> (
         let total = String.length contents in
@@ -609,7 +593,7 @@ let inspect path =
               info_stale_log = false;
             }
       else
-        match read_file path with
+        match io (Si_io.Io.read_file path) with
         | Error e -> Error e
         | Ok contents -> (
             let total = String.length contents in

@@ -66,23 +66,6 @@ let parse_name file =
 
 let protect_io f = try Ok (f ()) with Sys_error msg -> Error msg
 
-let read_file path =
-  protect_io (fun () ->
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic)))
-
-let write_atomic dir file contents =
-  let final = Filename.concat dir file in
-  let temp = final ^ ".si-tmp" in
-  protect_io (fun () ->
-      let oc = open_out_bin temp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc contents);
-      Sys.rename temp final)
-
 let ensure_dir dir =
   protect_io (fun () ->
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
@@ -103,7 +86,8 @@ let seal ~dir ~term ~first payloads =
       Record.add_u32 buf (List.length payloads);
       List.iter (Record.encode buf) payloads;
       let file = seg_name ~term ~first ~last in
-      match write_atomic dir file (Buffer.contents buf) with
+      let path = Filename.concat dir file in
+      match Si_io.Io.write_atomic path (Buffer.contents buf) with
       | Error _ as e -> e
       | Ok () ->
           Ok
@@ -117,7 +101,8 @@ let write_base ~dir ~term ~seq payload =
   Record.add_u32 buf seq;
   Record.encode buf payload;
   let file = base_name ~term ~seq in
-  match write_atomic dir file (Buffer.contents buf) with
+  let path = Filename.concat dir file in
+  match Si_io.Io.write_atomic path (Buffer.contents buf) with
   | Error _ as e -> e
   | Ok () -> Ok { base_term = term; base_seq = seq; base_file = file }
 
@@ -129,7 +114,7 @@ let import_base ~dir ~term ~seq payload =
 let header_err file detail = Error (Printf.sprintf "%s: %s" file detail)
 
 let read ~dir entry =
-  match read_file (Filename.concat dir entry.seg_file) with
+  match Si_io.Io.read_file (Filename.concat dir entry.seg_file) with
   | Error _ as e -> e
   | Ok contents ->
       let file = entry.seg_file in
@@ -158,7 +143,7 @@ let read ~dir entry =
       end
 
 let read_base ~dir b =
-  match read_file (Filename.concat dir b.base_file) with
+  match Si_io.Io.read_file (Filename.concat dir b.base_file) with
   | Error _ as e -> e
   | Ok contents ->
       let file = b.base_file in

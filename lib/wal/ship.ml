@@ -80,9 +80,8 @@ let seal_buffer t =
   | buffered -> (
       let payloads = List.rev_map snd buffered in
       match
-        Si_check.blocking ~kind:"file-write" (fun () ->
-            Segment.seal ~dir:t.archive ~term:t.term ~first:(t.sealed_seq + 1)
-              payloads)
+        Segment.seal ~dir:t.archive ~term:t.term ~first:(t.sealed_seq + 1)
+          payloads
       with
       | Error e ->
           if t.trouble = None then t.trouble <- Some e;

@@ -111,9 +111,8 @@ let pump ?(rounds = 64) leader followers =
    that, leaving the "crashed" process's in-memory state behind. *)
 let copy_file src dst =
   if Sys.file_exists src then
-    Out_channel.with_open_bin dst (fun oc ->
-        In_channel.with_open_bin src (fun ic ->
-            Out_channel.output_string oc (In_channel.input_all ic)))
+    Result.bind (Si_io.Io.read_file src) (Si_io.Io.write_atomic dst)
+    |> ok_or "copy"
 
 let crash_copy dir ~from_name ~to_name =
   let src = Filename.concat dir (from_name ^ ".wal") in

@@ -61,20 +61,24 @@ type corruption =
   | Flip_byte of int
   | Duplicate_tail of int
 
-let read_whole path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
+(* In place on purpose, not through [Si_io.Io.write_atomic]: damage
+   lands in the file itself, as a crash or a bad disk leaves it, so a
+   process still holding the file open sees it too. *)
 let write_whole path contents =
   let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+  try
+    output_string oc contents;
+    close_out oc
+  with e ->
+    close_out_noerr oc;
+    raise e
 
 let corrupt_file path damage =
-  let contents = read_whole path in
+  let contents =
+    match Si_io.Io.read_file path with
+    | Ok contents -> contents
+    | Error msg -> raise (Sys_error msg)
+  in
   let len = String.length contents in
   match damage with
   | Truncate offset ->

@@ -305,9 +305,9 @@ let node input =
   | exception Parse_error e -> Error e
 
 let file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> node contents
-  | exception Sys_error msg -> Error { line = 0; column = 0; message = msg }
+  match Si_io.Io.read_file path with
+  | Ok contents -> node contents
+  | Error msg -> Error { line = 0; column = 0; message = msg }
 
 let fragment input =
   let cur = { input; pos = 0 } in

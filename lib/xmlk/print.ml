@@ -87,34 +87,5 @@ let to_file ?(pretty = true) path node =
     else to_string ~decl:true node
   in
   Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc contents)
-
-(* Crash-safe variant: the document is written next to the target under a
-   recognizable suffix and renamed into place, so readers only ever see
-   either the previous complete file or the new complete file. A crash
-   mid-write leaves a torn ".si-tmp" file that loaders ignore. *)
-let temp_suffix = ".si-tmp"
-
-let temp_path path = path ^ temp_suffix
-
-let is_temp_path path =
-  let ls = String.length temp_suffix and l = String.length path in
-  l >= ls && String.sub path (l - ls) ls = temp_suffix
-
-let to_file_atomic ?(pretty = true) path node =
-  let contents =
-    if pretty then to_string_pretty ~decl:true node
-    else to_string ~decl:true node
-  in
-  let tmp = temp_path path in
-  match
-    Out_channel.with_open_bin tmp (fun oc ->
-        Out_channel.output_string oc contents;
-        Out_channel.flush oc);
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error msg ->
-      (* Best effort: don't leave the torn temp file behind. *)
-      (try if Sys.file_exists tmp then Sys.remove tmp with Sys_error _ -> ());
-      Error (Printf.sprintf "cannot write %s: %s" path msg)
+      Out_channel.output_string oc contents;
+      Out_channel.flush oc)

@@ -11,23 +11,10 @@ val to_string_pretty : ?decl:bool -> ?indent:int -> Node.t -> string
     {!Node.strip_whitespace} restores the original tree. *)
 
 val to_file : ?pretty:bool -> string -> Node.t -> unit
-(** Write a document, with declaration, to a file. *)
-
-val to_file_atomic : ?pretty:bool -> string -> Node.t -> (unit, string) result
-(** Like {!to_file}, but crash-safe: the document is first written to
-    [path ^ temp_suffix] and then renamed over [path], so a crash mid-write
-    never leaves a torn target file — only a torn temp file, which loaders
-    ignore (see {!is_temp_path}). I/O failures come back as [Error] instead
-    of a raised [Sys_error]. *)
-
-val temp_suffix : string
-(** [".si-tmp"] — the suffix of in-flight atomic writes. *)
-
-val temp_path : string -> string
-(** The temp file {!to_file_atomic} uses for a given target path. *)
-
-val is_temp_path : string -> bool
-(** Whether a path is a (possibly torn, leftover) atomic-write temp file. *)
+(** Write a document, with declaration, to a file, in place. Stores
+    that must survive a crash mid-write render with {!to_string_pretty}
+    and persist through [Si_io.Io.write_atomic] instead.
+    @raise Sys_error on I/O trouble, including a failed final flush. *)
 
 val escape : string -> string
 (** Escape the characters [<], [>], [&] and double quote for use in

@@ -25,6 +25,7 @@ let () =
       ("workload", Test_workload.suite);
       ("server", Test_server.suite);
       ("tui", Test_tui.suite);
-      ("check", Test_check.suite);
       ("bundle", Test_bundle.suite);
+      ("io", Test_io.suite);
+      ("check", Test_check.suite);
     ]

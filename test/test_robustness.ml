@@ -462,7 +462,7 @@ let test_torn_saves_never_corrupt () =
   | Error e -> Alcotest.fail e);
   (* A crash mid-write leaves a torn temp file next to an intact store:
      loading the store ignores the leftover. *)
-  let tmp = Si_xmlk.Print.temp_path path in
+  let tmp = Si_io.Io.temp_path path in
   Out_channel.with_open_bin tmp (fun oc ->
       Out_channel.output_string oc "<triples count=\"99\"><t s=\"x\"");
   check_bool "store loads despite torn temp" true
@@ -477,9 +477,9 @@ let test_torn_saves_never_corrupt () =
   check_bool "still loads" true (Result.is_ok (Trim.load path));
   (* The workspace loader never mistakes a temp file for a document. *)
   check_bool "temp suffix recognized" true
-    (Si_xmlk.Print.is_temp_path "pad.xml.si-tmp");
+    (Si_io.Io.is_temp "pad.xml.si-tmp");
   check_bool "real files not flagged" false
-    (Si_xmlk.Print.is_temp_path "pad.xml");
+    (Si_io.Io.is_temp "pad.xml");
   (* Unwritable target: an Error, never an exception, and no temp litter. *)
   (match Trim.save trim (Filename.concat dir "no/such/dir/store.xml") with
   | Ok () -> Alcotest.fail "save into a missing directory should fail"
