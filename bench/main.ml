@@ -740,9 +740,24 @@ let substrate_tests () =
       (Printf.sprintf "B%d" i)
       (Printf.sprintf "=A%d * 2 + SUM(A1:A%d)" i i)
   done;
+  (* The whole-file pad the captivity workload reopens: the 200-patient
+     ICU worksheet as [Slimpad.save] writes it, about 2 MB. *)
+  let pad_200 =
+    let desk = Desktop.create () in
+    let spec = Si_workload.Icu.build_desktop ~patients:200 ~seed:1 desk in
+    let app = Si_slimpad.Slimpad.create desk in
+    ignore (Si_workload.Icu.build_worksheet app spec);
+    let path = Filename.temp_file "bench_pad" ".xml" in
+    Result.get_ok (Si_slimpad.Slimpad.save app path);
+    let xml = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    xml
+  in
   [
     Test.make ~name:"xml:parse-100-elements"
       (staged (fun () -> Si_xmlk.Parse.node_exn xml_doc));
+    Test.make ~name:"xml:parse-pad-200"
+      (staged (fun () -> Si_xmlk.Parse.node_exn pad_200));
     Test.make ~name:"html:parse-100-rows"
       (staged (fun () -> Si_htmldoc.Htmldoc.parse html_doc));
     Test.make ~name:"formula:parse"
@@ -1119,6 +1134,10 @@ let snapshot_codec_tests () =
           (staged (fun () -> Result.get_ok (Trim.of_binary bin)));
       ])
     sizes
+  @
+  (* The checksum every container section and WAL record pays. *)
+  let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  [ Test.make ~name:"crc32:1MiB" (staged (fun () -> Si_wal.Crc32.digest mib)) ]
 
 let snapshot_size_report () =
   Printf.printf "\n-- E15 snapshot bytes (binary vs XML) --\n";

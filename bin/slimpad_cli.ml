@@ -955,7 +955,8 @@ let cmd_capture dir out with_bases =
             report.Si_bundle.captured_triples report.Si_bundle.captured_marks
             report.Si_bundle.captured_bases out;
           print_problems report.Si_bundle.capture_problems;
-          Printf.printf "content digest %s\n" (Si_bundle.app_digest app);
+          Printf.printf "content digest %s\n"
+            report.Si_bundle.captured_digest;
           0)
 
 (* The import gate [--strict] rides on: load the bundle's content into a

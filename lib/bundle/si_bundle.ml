@@ -61,6 +61,7 @@ type capture_report = {
   captured_marks : int;
   captured_bases : int;
   capture_problems : problem list;
+  captured_digest : string;
 }
 
 type apply_report = {
@@ -118,6 +119,37 @@ module Layout = struct
       if Sys.file_exists path then Ok false
       else Result.map (fun () -> true) (write_file ~path contents)
 end
+
+(* --- content digest -------------------------------------------------- *)
+
+(* Atom ids are section-local and triples sorted, so equal pads hash
+   equal on any machine or compiler version; journal, metadata,
+   watermark, and base payloads deliberately stay outside the hash. *)
+let digest_of sections =
+  let section name = Wbin.section name sections in
+  match
+    Pad_format.
+      (section atoms_section, section triples_section, section marks_section)
+  with
+  | Some atoms, Some triples, Some marks ->
+      Ok
+        (Digest.to_hex
+           (Digest.string (String.concat "\x00" [ atoms; triples; marks ])))
+  | _ -> Error "bundle: missing atoms/triples/marks sections"
+
+let content_digest bytes =
+  match Wbin.decode bytes with
+  | Error e -> Error ("bundle: " ^ e)
+  | Ok sections -> digest_of sections
+
+let app_digest app =
+  Result.get_ok
+    (digest_of
+       (Trim.binary_sections (Dmi.trim (Slimpad.dmi app))
+       @ [
+           ( Pad_format.marks_section,
+             Xml.Print.to_string (Manager.to_xml (Slimpad.marks app)) );
+         ]))
 
 (* --- capture --------------------------------------------------------- *)
 
@@ -184,19 +216,15 @@ let capture_sections ?(workspace_id = "") ?bases app =
         |> List.sort compare
   in
   let problems = List.rev !problems in
-  let report =
-    {
-      captured_triples = Trim.size (Dmi.trim dmi);
-      captured_marks = List.length marks;
-      captured_bases = List.length base_sections;
-      capture_problems = problems;
-    }
-  in
+  let n_triples = Trim.size (Dmi.trim dmi)
+  and n_marks = List.length marks
+  and n_bases = List.length base_sections in
+  let pad_sections = Pad_format.sections dmi marks_mgr in
   let sections =
     ( meta_section,
-      meta_payload ~workspace_id ~triples:report.captured_triples
-        ~marks:report.captured_marks ~bases:report.captured_bases )
-    :: Pad_format.sections dmi marks_mgr
+      meta_payload ~workspace_id ~triples:n_triples ~marks:n_marks
+        ~bases:n_bases )
+    :: pad_sections
     @ (match excerpts_payload marks with
       | [] -> []
       | pairs -> [ (excerpts_section, Record.encode_fields pairs) ])
@@ -205,6 +233,16 @@ let capture_sections ?(workspace_id = "") ?bases app =
       | ps -> [ (report_section, report_payload ps) ])
     @ Pad_format.watermark_sections (Slimpad.rep_meta app)
     @ base_sections
+  in
+  let report =
+    {
+      captured_triples = n_triples;
+      captured_marks = n_marks;
+      captured_bases = n_bases;
+      capture_problems = problems;
+      (* The pad's own sections always carry atoms, triples and marks. *)
+      captured_digest = Result.get_ok (digest_of pad_sections);
+    }
   in
   (sections, report)
 
@@ -292,23 +330,22 @@ let problems_of_report raw =
       go [] fields
 
 let report_of bytes =
-  match decode bytes with
-  | Error _ as e -> e
-  | Ok (meta, sections) ->
-      let problems =
-        match Wbin.section report_section sections with
-        | None -> Ok []
-        | Some raw -> problems_of_report raw
-      in
-      Result.map
-        (fun capture_problems ->
-          {
-            captured_triples = meta.triple_count;
-            captured_marks = meta.mark_count;
-            captured_bases = meta.base_count;
-            capture_problems;
-          })
-        problems
+  let ( let* ) = Result.bind in
+  let* meta, sections = decode bytes in
+  let* capture_problems =
+    match Wbin.section report_section sections with
+    | None -> Ok []
+    | Some raw -> problems_of_report raw
+  in
+  let* captured_digest = digest_of sections in
+  Ok
+    {
+      captured_triples = meta.triple_count;
+      captured_marks = meta.mark_count;
+      captured_bases = meta.base_count;
+      capture_problems;
+      captured_digest;
+    }
 
 (* Every <mark> child decoded on its own, so one malformed mark is one
    problem, not a lost section (Manager.of_xml is all-or-nothing by
@@ -426,37 +463,6 @@ let verify bytes =
               | Error e -> flag ~m:"bases" ~source:section e)
             (base_sections_of sections);
           List.sort compare !problems)
-
-(* --- content digest -------------------------------------------------- *)
-
-(* Atom ids are section-local and triples sorted, so equal pads hash
-   equal on any machine or compiler version; journal, metadata,
-   watermark, and base payloads deliberately stay outside the hash. *)
-let digest_of sections =
-  let section name = Wbin.section name sections in
-  match
-    Pad_format.
-      (section atoms_section, section triples_section, section marks_section)
-  with
-  | Some atoms, Some triples, Some marks ->
-      Ok
-        (Digest.to_hex
-           (Digest.string (atoms ^ "\x00" ^ triples ^ "\x00" ^ marks)))
-  | _ -> Error "bundle: missing atoms/triples/marks sections"
-
-let content_digest bytes =
-  match Wbin.decode bytes with
-  | Error e -> Error ("bundle: " ^ e)
-  | Ok sections -> digest_of sections
-
-let app_digest app =
-  Result.get_ok
-    (digest_of
-       (Trim.binary_sections (Dmi.trim (Slimpad.dmi app))
-       @ [
-           ( Pad_format.marks_section,
-             Xml.Print.to_string (Manager.to_xml (Slimpad.marks app)) );
-         ]))
 
 (* --- apply ----------------------------------------------------------- *)
 

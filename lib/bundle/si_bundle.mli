@@ -84,6 +84,9 @@ type capture_report = {
   capture_problems : problem list;
       (** Per-module failures (base documents that would not read);
           the artifact was still produced without them. *)
+  captured_digest : string;
+      (** The artifact's {!content_digest}, hashed from the sections
+          capture encoded (or, from {!report_of}, decoded). *)
 }
 
 type apply_report = {
@@ -169,7 +172,9 @@ val meta_of : string -> (meta, string) result
     [[min_schema_version, schema_version]]. *)
 
 val report_of : string -> (capture_report, string) result
-(** The capture report embedded in the artifact. *)
+(** The capture report embedded in the artifact. Errors where
+    {!content_digest} would: damage, or no atoms/triples/marks
+    sections. *)
 
 val verify : string -> problem list
 (** Offline verification, never an exception and never a partial stop:

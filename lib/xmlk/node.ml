@@ -118,17 +118,23 @@ let rec equal a b =
       && List.for_all2 equal x.children y.children
   | (Element _ | Text _ | Cdata _ | Comment _ | Pi _), _ -> false
 
+let needs_escape = function '<' | '>' | '&' | '"' -> true | _ -> false
+
+(* Most values need no escaping; those come back as they are. *)
 let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    String.iter
+      (function
+        | '<' -> Buffer.add_string buf "&lt;"
+        | '>' -> Buffer.add_string buf "&gt;"
+        | '&' -> Buffer.add_string buf "&amp;"
+        | '"' -> Buffer.add_string buf "&quot;"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let rec pp ppf = function
   | Text s -> Format.pp_print_string ppf (escape s)

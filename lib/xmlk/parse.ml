@@ -59,6 +59,15 @@ let read_name cur =
   done;
   String.sub cur.input start (cur.pos - start)
 
+(* [stop] occurs in [input] at [i]; the caller guarantees it fits. *)
+let is_at input i stop =
+  let rec go k =
+    k = String.length stop
+    || String.unsafe_get input (i + k) = String.unsafe_get stop k
+       && go (k + 1)
+  in
+  go 0
+
 (* Scans forward to [stop] (a literal substring), returning the text before
    it and leaving the cursor just past it. *)
 let read_until cur stop =
@@ -66,7 +75,7 @@ let read_until cur stop =
   let limit = String.length cur.input - len in
   let rec scan i =
     if i > limit then fail cur (Printf.sprintf "unterminated, expected %S" stop)
-    else if String.sub cur.input i len = stop then i
+    else if is_at cur.input i stop then i
     else scan (i + 1)
   in
   let at = scan cur.pos in
@@ -92,6 +101,13 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* XML 1.0's [Char] production: what a character reference may name. *)
+let is_xml_char code =
+  code = 0x9 || code = 0xA || code = 0xD
+  || (code >= 0x20 && code <= 0xD7FF)
+  || (code >= 0xE000 && code <= 0xFFFD)
+  || (code >= 0x10000 && code <= 0x10FFFF)
+
 (* Cursor is just past '&'. *)
 let read_entity cur buf =
   let body = read_until cur ";" in
@@ -111,50 +127,59 @@ let read_entity cur buf =
         else None
       in
       (match code with
-      | Some c when c >= 0 && c <= 0x10FFFF -> add_utf8 buf c
-      | Some _ | None ->
-          fail cur (Printf.sprintf "unknown entity &%s;" body))
+      | Some c when is_xml_char c -> add_utf8 buf c
+      | Some c when c >= 0 && c <= 0x10FFFF ->
+          fail cur
+            (Printf.sprintf "&%s; does not name an XML character" body)
+      | Some _ | None -> fail cur (Printf.sprintf "unknown entity &%s;" body))
 
-let read_text cur =
-  let buf = Buffer.create 32 in
-  let rec loop () =
-    if eof cur || peek cur = '<' then Buffer.contents buf
-    else if peek cur = '&' then begin
+(* Text and attribute values are read a run at a time: the cursor scans to
+   the next [stop] byte or entity, and a value with no entity in it is one
+   [String.sub] of the input. Only a value with an entity goes through a
+   buffer, which takes each run between entities as one substring. *)
+let scan_to cur stop =
+  let input = cur.input in
+  let n = String.length input in
+  let i = ref cur.pos in
+  while
+    !i < n
+    &&
+    let c = String.unsafe_get input !i in
+    c <> stop && c <> '&'
+  do
+    incr i
+  done;
+  cur.pos <- !i
+
+(* Reads up to the first [stop] byte (or the end of input), decoding
+   entities on the way; the cursor is left on the [stop]. *)
+let read_decoded cur stop =
+  let start = cur.pos in
+  scan_to cur stop;
+  if peek cur <> '&' then String.sub cur.input start (cur.pos - start)
+  else begin
+    let buf = Buffer.create (cur.pos - start + 16) in
+    Buffer.add_substring buf cur.input start (cur.pos - start);
+    while peek cur = '&' do
       advance cur;
       read_entity cur buf;
-      loop ()
-    end
-    else begin
-      Buffer.add_char buf (peek cur);
-      advance cur;
-      loop ()
-    end
-  in
-  loop ()
+      let run = cur.pos in
+      scan_to cur stop;
+      Buffer.add_substring buf cur.input run (cur.pos - run)
+    done;
+    Buffer.contents buf
+  end
+
+let read_text cur = read_decoded cur '<'
 
 let read_quoted cur =
   let quote = peek cur in
   if quote <> '"' && quote <> '\'' then fail cur "expected a quoted value";
   advance cur;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    if eof cur then fail cur "unterminated attribute value"
-    else if peek cur = quote then begin
-      advance cur;
-      Buffer.contents buf
-    end
-    else if peek cur = '&' then begin
-      advance cur;
-      read_entity cur buf;
-      loop ()
-    end
-    else begin
-      Buffer.add_char buf (peek cur);
-      advance cur;
-      loop ()
-    end
-  in
-  loop ()
+  let value = read_decoded cur quote in
+  if eof cur then fail cur "unterminated attribute value";
+  advance cur;
+  value
 
 let read_attrs cur =
   let rec loop acc =
@@ -181,8 +206,7 @@ let read_bang cur =
     Some (Node.Comment (read_until cur "-->"))
   end
   else if
-    cur.pos + 7 <= String.length cur.input
-    && String.sub cur.input cur.pos 7 = "[CDATA["
+    cur.pos + 7 <= String.length cur.input && is_at cur.input cur.pos "[CDATA["
   then begin
     cur.pos <- cur.pos + 7;
     Some (Node.Cdata (read_until cur "]]>"))

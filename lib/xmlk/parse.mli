@@ -4,7 +4,12 @@
     the repository's needs: elements, attributes, text, CDATA, comments,
     processing instructions, the five predefined entities plus numeric
     character references, and a skipped DOCTYPE. Namespaces are not
-    interpreted (prefixed names are kept verbatim). *)
+    interpreted (prefixed names are kept verbatim). A character
+    reference must name a character of XML 1.0's [Char] production;
+    [&#0;], a surrogate or [&#xFFFE;] is a parse error.
+
+    Text and attribute values are scanned, not copied byte by byte: a
+    value without entities is one substring of the input. *)
 
 type error = { line : int; column : int; message : string }
 

@@ -59,7 +59,11 @@ let to_string_pretty ?(decl = false) ?(indent = 2) node =
     Buffer.add_string buf xml_decl;
     Buffer.add_char buf '\n'
   end;
-  let pad level = Buffer.add_string buf (String.make (level * indent) ' ') in
+  let pad level =
+    for _ = 1 to level * indent do
+      Buffer.add_char buf ' '
+    done
+  in
   let rec go level node =
     pad level;
     match node with

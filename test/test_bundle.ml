@@ -164,6 +164,38 @@ let test_meta_and_report () =
   let report = ok (Si_bundle.report_of bytes) in
   check_int "embedded report is clean" 0 (List.length report.capture_problems)
 
+(* The digest capture reports is hashed from the sections it encoded;
+   it must stay the digest of the written bytes and of the live pad. *)
+let test_capture_digest_cannot_drift () =
+  let icu () =
+    let desk = Desktop.create () in
+    let spec = Si_workload.Icu.build_desktop ~patients:6 ~seed:2001 desk in
+    let app = Slimpad.create desk in
+    ignore (Si_workload.Icu.build_worksheet app spec);
+    app
+  in
+  let with_excerpts = full_app () in
+  check_bool "fixture caches excerpts" true
+    (List.exists
+       (fun (m : Mark.t) -> m.excerpt <> "")
+       (Manager.marks (Slimpad.marks with_excerpts)));
+  let bases ~kind ~name = Ok (kind ^ "-" ^ name, "base bytes") in
+  List.iter
+    (fun (what, app) ->
+      let bytes, report = Si_bundle.capture ~workspace_id:what ~bases app in
+      check (what ^ ": the live pad's digest") (Si_bundle.app_digest app)
+        report.captured_digest;
+      check (what ^ ": the written bytes' digest")
+        (ok (Si_bundle.content_digest bytes))
+        report.captured_digest;
+      check (what ^ ": the embedded report's digest") report.captured_digest
+        (ok (Si_bundle.report_of bytes)).captured_digest)
+    [
+      ("seeded ICU pad", icu ());
+      ("pad with cached excerpts", with_excerpts);
+      ("empty pad", Slimpad.create (Desktop.create ()));
+    ]
+
 let test_excerpts_opt_in () =
   let app = full_app () in
   let bytes, _ = Si_bundle.capture app in
@@ -529,6 +561,7 @@ let suite =
     ("round-trip: all seven mark types", `Quick, test_roundtrip_all_marks);
     ("capture is deterministic", `Quick, test_capture_deterministic);
     ("metadata + embedded report", `Quick, test_meta_and_report);
+    ("capture digest cannot drift", `Quick, test_capture_digest_cannot_drift);
     ("excerpt restore is opt-in", `Quick, test_excerpts_opt_in);
     ("capture is greedy under failing readers", `Quick, test_capture_greedy);
     ("apply is install-only", `Quick, test_apply_install_only);

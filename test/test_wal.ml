@@ -71,6 +71,41 @@ let test_crc_incremental () =
     (Invalid_argument "Crc32.digest") (fun () ->
       ignore (Crc32.digest ~pos:4 ~len:3 "abcde"))
 
+(* The CRC one bit at a time, straight from the polynomial: no table, no
+   slicing, so it shares nothing with the code under test. *)
+let reference_crc s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+(* Every length 0..67 at every offset 0..7 covers each alignment of the
+   8-byte steps and every tail length; chaining at each split point of a
+   67-byte string covers a running CRC entering mid-step. *)
+let test_crc_matches_reference () =
+  let s = String.init 75 (fun i -> Char.chr (((i * 167) + 13) land 0xff)) in
+  for pos = 0 to 7 do
+    for len = 0 to 67 do
+      check_int
+        (Printf.sprintf "pos %d len %d" pos len)
+        (reference_crc (String.sub s pos len))
+        (Crc32.digest ~pos ~len s)
+    done
+  done;
+  let whole = String.sub s 0 67 in
+  for k = 0 to 67 do
+    let head = Crc32.digest ~len:k whole in
+    check_int
+      (Printf.sprintf "chained at %d" k)
+      (reference_crc whole)
+      (Crc32.digest ~crc:head ~pos:k whole)
+  done
+
 (* ----------------------------------------------------------- field codec *)
 
 let test_fields_roundtrip () =
@@ -851,6 +886,7 @@ let suite =
   [
     ("crc32 vectors", `Quick, test_crc_vectors);
     ("crc32 incremental", `Quick, test_crc_incremental);
+    ("crc32 matches the bitwise reference", `Quick, test_crc_matches_reference);
     ("field codec round-trip", `Quick, test_fields_roundtrip);
     ("field codec rejects malformed", `Quick, test_fields_malformed);
     ("record round-trip", `Quick, test_record_roundtrip);

@@ -91,6 +91,98 @@ let test_parse_error_position () =
   | Ok _ -> Alcotest.fail "expected failure"
   | Error e -> check_int "line" 3 e.line
 
+(* Line:column of the errors a reader hits mid-value, pinned as the
+   character-at-a-time reader reported them. *)
+let test_parse_error_positions_pinned () =
+  let error_at s =
+    match Parse.node s with
+    | Ok _ -> Alcotest.failf "expected failure on %S" s
+    | Error e -> Printf.sprintf "%d:%d %s" e.line e.column e.message
+  in
+  check "attribute value" "3:5 unterminated attribute value"
+    (error_at "<a>\n  <b k=\"abc/>\n</a>");
+  check "attribute value after an entity" "3:5 unterminated attribute value"
+    (error_at "<a>\n  <b k='abc&amp;def/>\n</a>");
+  check "entity in text" "2:6 unterminated, expected \";\""
+    (error_at "<a>\n  x &amp y\n</a>");
+  check "entity in attribute" "2:9 unterminated, expected \";\""
+    (error_at "<a>\n <b k=\"&lt\"/></a>");
+  check "comment" "2:7 unterminated, expected \"-->\""
+    (error_at "<a>\n  <!-- no end\n</a>");
+  check "unknown entity" "1:12 unknown entity &bogus;"
+    (error_at "<a>x&bogus;y</a>");
+  check "past U+10FFFF" "1:14 unknown entity &#x110000;"
+    (error_at "<a>&#x110000;</a>")
+
+(* XML 1.0 [Char]: #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+   [#x10000-#x10FFFF]. A character reference must name one of those. *)
+let test_parse_char_refs_must_be_xml_chars () =
+  List.iter
+    (fun (ref_, utf8) ->
+      check ref_ utf8 (Node.text_content (parse ("<a>" ^ ref_ ^ "</a>")));
+      check (ref_ ^ " in an attribute") utf8
+        (Node.attr_exn "k" (parse ("<a k=\"" ^ ref_ ^ "\"/>"))))
+    [
+      ("&#9;", "\t");
+      ("&#xA;", "\n");
+      ("&#xD;", "\r");
+      ("&#x20;", " ");
+      ("&#xD7FF;", "\xED\x9F\xBF");
+      ("&#xE000;", "\xEE\x80\x80");
+      ("&#xFFFD;", "\xEF\xBF\xBD");
+      ("&#x10000;", "\xF0\x90\x80\x80");
+      ("&#x10FFFF;", "\xF4\x8F\xBF\xBF");
+    ];
+  List.iter
+    (fun ref_ ->
+      List.iter
+        (fun doc ->
+          match Parse.node doc with
+          | Ok _ -> Alcotest.failf "accepted %S" doc
+          | Error e ->
+              check doc
+                (Printf.sprintf "%s does not name an XML character" ref_)
+                e.message)
+        [ "<a>" ^ ref_ ^ "</a>"; "<a k='" ^ ref_ ^ "'/>" ])
+    [ "&#0;"; "&#x1;"; "&#8;"; "&#x1F;"; "&#xD800;"; "&#xDFFF;"; "&#xFFFE;";
+      "&#xFFFF;" ]
+
+let test_parse_entity_placement () =
+  let text s = Node.text_content (parse ("<t>" ^ s ^ "</t>")) in
+  check "text: start" "<ab" (text "&lt;ab");
+  check "text: middle" "a&b" (text "a&amp;b");
+  check "text: end" "ab>" (text "ab&gt;");
+  check "text: only entities" "\"'" (text "&quot;&apos;");
+  let attr q s = Node.attr_exn "k" (parse ("<t k=" ^ q ^ s ^ q ^ "/>")) in
+  List.iter
+    (fun q ->
+      check ("attr: start " ^ q) "<ab" (attr q "&lt;ab");
+      check ("attr: middle " ^ q) "a&b" (attr q "a&amp;b");
+      check ("attr: end " ^ q) "ab>" (attr q "ab&gt;");
+      check ("attr: only an entity " ^ q) "A" (attr q "&#65;");
+      check ("attr: empty " ^ q) "" (attr q ""))
+    [ "\""; "'" ]
+
+let test_parse_angles_in_attrs () =
+  let n = parse {|<t d="a<b>c" s='x<y>z' mix="it's" quo='say "hi"'/>|} in
+  check "double-quoted" "a<b>c" (Node.attr_exn "d" n);
+  check "single-quoted" "x<y>z" (Node.attr_exn "s" n);
+  check "apostrophe inside double quotes" "it's" (Node.attr_exn "mix" n);
+  check "quotes inside single quotes" {|say "hi"|} (Node.attr_exn "quo" n)
+
+let test_parse_whitespace_runs_kept () =
+  let n = parse "<a> <b/>\t\n<c/>  </a>" in
+  Alcotest.(check (list node_testable))
+    "whitespace-only runs are Text nodes"
+    [
+      Node.text " ";
+      Node.element "b" [];
+      Node.text "\t\n";
+      Node.element "c" [];
+      Node.text "  ";
+    ]
+    (Node.children n)
+
 let test_parse_mismatch_message () =
   match Parse.node "<a></b>" with
   | Ok _ -> Alcotest.fail "expected failure"
@@ -335,6 +427,46 @@ let prop_pretty_parse_roundtrip =
             (Node.normalize (Node.strip_whitespace reparsed))
       | Error _ -> false)
 
+(* Text with entities at random places parses back to its unescaped
+   string, in element content and in an attribute value. *)
+let prop_entities_decode =
+  let piece =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map
+              (fun s -> (s, s))
+              (string_size (int_range 0 6)
+                 ~gen:
+                   (oneofl [ 'x'; ' '; '>'; '\''; ';'; '#'; '\n'; '\xC3' ])) );
+          ( 2,
+            oneofl
+              [
+                ("&lt;", "<");
+                ("&gt;", ">");
+                ("&amp;", "&");
+                ("&apos;", "'");
+                ("&quot;", "\"");
+                ("&#65;", "A");
+                ("&#xE9;", "\xC3\xA9");
+              ] );
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ps ->
+          ( String.concat "" (List.map fst ps),
+            String.concat "" (List.map snd ps) ))
+        (list_size (int_range 0 8) piece))
+  in
+  QCheck.Test.make ~name:"entities decode wherever they fall" ~count:300
+    (QCheck.make gen ~print:fst) (fun (escaped, plain) ->
+      let in_text = parse ("<t>" ^ escaped ^ "</t>") in
+      let in_attr = parse ("<t k=\"" ^ escaped ^ "\"/>") in
+      Node.text_content in_text = plain && Node.attr_exn "k" in_attr = plain)
+
 let prop_all_paths_resolve =
   QCheck.Test.make ~name:"every enumerated path resolves to its node"
     ~count:200 arbitrary_element (fun tree ->
@@ -363,6 +495,7 @@ let props =
     [
       prop_print_parse_roundtrip;
       prop_pretty_parse_roundtrip;
+      prop_entities_decode;
       prop_all_paths_resolve;
       prop_path_of_inverse;
       prop_size_positive;
@@ -383,6 +516,16 @@ let suite =
     ("parse: malformed inputs rejected", `Quick, test_parse_errors);
     ("parse: error carries position", `Quick, test_parse_error_position);
     ("parse: mismatch names both tags", `Quick, test_parse_mismatch_message);
+    ("parse: error positions pinned", `Quick,
+      test_parse_error_positions_pinned);
+    ("parse: character references name XML characters", `Quick,
+      test_parse_char_refs_must_be_xml_chars);
+    ("parse: entity at start, middle, end", `Quick,
+      test_parse_entity_placement);
+    ("parse: < and > inside attribute values", `Quick,
+      test_parse_angles_in_attrs);
+    ("parse: whitespace-only runs kept", `Quick,
+      test_parse_whitespace_runs_kept);
     ("parse: fragment", `Quick, test_fragment);
     ("print: compact escaping", `Quick, test_print_compact);
     ("print: declaration", `Quick, test_print_decl);
