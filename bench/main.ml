@@ -1102,6 +1102,29 @@ let columnar_scaling_tests () =
         (impls n))
     sizes
 
+(* Recovering a served pad from its snapshot bytes: the decoder
+   [Slimpad.of_snapshot_bytes] runs ([Pad_format.restore], the
+   Bundle-Scrap model install included) into the store [slimpad serve]
+   uses. Recovery builds no pair index; one creeping back shows here as
+   an extra pass over every row of every shard. *)
+let recover_pad_test n =
+  let dmi = Dmi.create () in
+  Trim.add_all (Dmi.trim dmi) (synthetic_triples n);
+  let bytes =
+    Si_wal.Binary.encode
+      (Si_slimpad.Pad_format.sections dmi (Manager.create ()))
+  in
+  Test.make
+    ~name:(Printf.sprintf "recover-pad:n=%d" n)
+    (staged (fun () ->
+         match Si_wal.Binary.decode bytes with
+         | Error e -> failwith e
+         | Ok sections ->
+             Result.get_ok
+               (Si_slimpad.Pad_format.restore
+                  ~store:(module Store.Sharded_columnar)
+                  (Manager.create ()) sections)))
+
 (* Binary vs XML snapshot codec: encode, decode (= recovery's parse
    path, including the XML parse the binary form skips), and the byte
    sizes as a printed report. *)
@@ -1134,6 +1157,7 @@ let snapshot_codec_tests () =
           (staged (fun () -> Result.get_ok (Trim.of_binary bin)));
       ])
     sizes
+  @ [ recover_pad_test (if !smoke then 10_000 else 100_000) ]
   @
   (* The checksum every container section and WAL record pays. *)
   let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in

@@ -26,9 +26,32 @@ let trim t = t.trim
 (* Model ids are derived from the name so they are stable across runs. *)
 let model_id_of_name model_name = "model:" ^ model_name
 
+(* The model's own resources (the model, its constructs and connectors)
+   carry a handful of triples each, so they are read with one
+   subject-bound select and the predicates picked out of that list. A
+   subject read never builds the store's pair indexes, where a
+   subject+predicate read would ({!Si_triple.Store}). A subject bucket
+   lists rows in the order the pair bucket does, so the first object of
+   a predicate is the one [Trim.object_of] gives. *)
+let first_object triples predicate =
+  List.find_map
+    (fun (tr : Triple.t) ->
+      if String.equal tr.predicate predicate then Some tr.object_ else None)
+    triples
+
+let first_literal triples predicate =
+  match first_object triples predicate with
+  | Some (Triple.Literal s) -> Some s
+  | Some (Triple.Resource _) | None -> None
+
+let first_resource triples predicate =
+  match first_object triples predicate with
+  | Some (Triple.Resource r) -> Some r
+  | Some (Triple.Literal _) | None -> None
+
 let find trim ~name =
   let model_id = model_id_of_name name in
-  match Trim.literal_of trim ~subject:model_id ~predicate:Vocab.rdfs_label with
+  match first_literal (Trim.select ~subject:model_id trim) Vocab.rdfs_label with
   | Some label when label = name -> Some { trim; model_id; model_name = name }
   | Some _ | None -> None
 
@@ -73,7 +96,7 @@ let construct_id_of_name m construct_name =
 
 let construct_of_id m construct_id =
   Option.bind
-    (Trim.resource_of m.trim ~subject:construct_id ~predicate:Vocab.rdf_type)
+    (first_resource (Trim.select ~subject:construct_id m.trim) Vocab.rdf_type)
     (fun c -> Option.map (fun kind -> { construct_id; kind }) (kind_of_class c))
 
 let find_construct m construct_name =
@@ -125,11 +148,8 @@ let connector_id_of m ~domain ~name = domain ^ "#" ^ name ^ "@" ^ m.model_id
 (* A cardinality literal that is not an integer makes the connector
    unreadable, like a dangling domain or range. An absent minimum is 0, an
    absent maximum unbounded. *)
-let card_of_id m connector_id =
-  let bound p =
-    Option.map int_of_string_opt
-      (Trim.literal_of m.trim ~subject:connector_id ~predicate:p)
-  in
+let card_of triples =
+  let bound p = Option.map int_of_string_opt (first_literal triples p) in
   match (bound Vocab.min_card, bound Vocab.max_card) with
   | Some None, _ | _, Some None -> None
   | min_card, max_card ->
@@ -140,16 +160,17 @@ let card_of_id m connector_id =
         }
 
 let connector_of_id m connector_id =
+  let triples = Trim.select ~subject:connector_id m.trim in
   match
-    ( Trim.literal_of m.trim ~subject:connector_id ~predicate:Vocab.predicate,
-      Trim.resource_of m.trim ~subject:connector_id ~predicate:Vocab.domain,
-      Trim.resource_of m.trim ~subject:connector_id ~predicate:Vocab.range )
+    ( first_literal triples Vocab.predicate,
+      first_resource triples Vocab.domain,
+      first_resource triples Vocab.range )
   with
   | Some conn_predicate, Some domain_id, Some range_id -> (
       match
         ( construct_of_id m domain_id,
           construct_of_id m range_id,
-          card_of_id m connector_id )
+          card_of triples )
       with
       | Some conn_domain, Some conn_range, Some card ->
           Some { connector_id; conn_predicate; conn_domain; conn_range; card }

@@ -47,7 +47,14 @@ val at_least_one : cardinality
 
 val define : Si_triple.Trim.t -> name:string -> t
 (** Creates the model resource (idempotent: returns the existing model of
-    that name if already defined). *)
+    that name if already defined).
+
+    [define], [find], [construct] and its siblings, and [connect] read
+    each model resource (the model, a construct, a connector) with one
+    subject-bound select and pick its predicates out of that list. So
+    installing a model into a large recovered store, as
+    [Si_slim.Bundle_model.install] does at every open, never makes a
+    {!Si_triple.Store.Columnar_store} build its pair indexes. *)
 
 val find : Si_triple.Trim.t -> name:string -> t option
 val all : Si_triple.Trim.t -> t list

@@ -470,6 +470,8 @@ let rep_meta_of_payload payload =
     | Error _ -> None
     | Ok sections -> Pad_format.watermark sections
 
+(* The application and the watermark of a binary snapshot, from one
+   decode of its container. *)
 let of_binary_snapshot ?store ?resilient ?wrap desktop payload =
   match Wbin.decode payload with
   | Error e -> Error ("binary snapshot: " ^ e)
@@ -478,18 +480,20 @@ let of_binary_snapshot ?store ?resilient ?wrap desktop payload =
       Desktop.install_modules ?wrap desktop marks;
       Result.map
         (fun dmi ->
-          {
-            dmi; marks; desktop;
-            resilient = make_resilient resilient;
-            wal = None; shipper = None; ship_async = None;
-            replica = None; rep_recovered = None;
-          })
+          ( {
+              dmi; marks; desktop;
+              resilient = make_resilient resilient;
+              wal = None; shipper = None; ship_async = None;
+              replica = None; rep_recovered = None;
+            },
+            Pad_format.watermark sections ))
         (Pad_format.restore ?store marks sections)
 
 (* Format sniffer: every snapshot payload, wherever it came from, goes
    through here, so pads snapshotted before the binary codec load
-   byte-for-byte unchanged through the XML path. *)
-let app_of_snapshot ?store ?resilient ?wrap desktop payload =
+   byte-for-byte unchanged through the XML path, which carries no
+   watermark. *)
+let app_and_meta_of_snapshot ?store ?resilient ?wrap desktop payload =
   if Wbin.is_binary payload then
     of_binary_snapshot ?store ?resilient ?wrap desktop payload
   else
@@ -499,8 +503,14 @@ let app_of_snapshot ?store ?resilient ?wrap desktop payload =
           (Printf.sprintf "wal: bad snapshot payload: %s"
              (Xml.Parse.error_to_string e))
     | Ok root ->
-        of_store_root ?store ?resilient ?wrap desktop
-          (Xml.Node.strip_whitespace root)
+        Result.map
+          (fun app -> (app, None))
+          (of_store_root ?store ?resilient ?wrap desktop
+             (Xml.Node.strip_whitespace root))
+
+let app_of_snapshot ?store ?resilient ?wrap desktop payload =
+  Result.map fst
+    (app_and_meta_of_snapshot ?store ?resilient ?wrap desktop payload)
 
 let persistence t = match t.wal with None -> Whole_file | Some _ -> Journaled
 let wal t = Option.map (fun st -> st.log) t.wal
@@ -568,13 +578,13 @@ let open_wal ?store ?resilient ?wrap ?policy ?on_warning desktop path =
       in
       let app_result =
         match recovery.Log.snapshot with
-        | None -> Ok (create ?store ?resilient ?wrap desktop)
+        | None -> Ok (create ?store ?resilient ?wrap desktop, None)
         | Some payload ->
-            app_of_snapshot ?store ?resilient ?wrap desktop payload
+            app_and_meta_of_snapshot ?store ?resilient ?wrap desktop payload
       in
       match app_result with
       | Error e -> closing e
-      | Ok app -> (
+      | Ok (app, meta) -> (
           (* Replay the tail before installing hooks: recovered records
              must not be re-appended. *)
           let rec replay i = function
@@ -587,8 +597,7 @@ let open_wal ?store ?resilient ?wrap ?policy ?on_warning desktop path =
           match replay 0 recovery.Log.records with
           | Error e -> closing e
           | Ok replayed ->
-              app.rep_recovered <-
-                Option.bind recovery.Log.snapshot rep_meta_of_payload;
+              app.rep_recovered <- meta;
               install_hooks app { log; trouble = None; suppress = false };
               Si_obs.Counter.add wal_replayed_count replayed;
               (* Recovery anomalies are counted always and reported only
@@ -909,18 +918,15 @@ let open_replica ?store ?resilient ?wrap ?max_pending ?on_warning ?bootstrap
                      path)
             | Some payload -> (
                 match
-                  app_of_snapshot ?store ?resilient ?wrap desktop payload
+                  app_and_meta_of_snapshot ?store ?resilient ?wrap desktop
+                    payload
                 with
                 | Error e -> Error ("bootstrap: " ^ e)
-                | Ok fresh ->
+                | Ok (fresh, meta) ->
                     app.dmi <- fresh.dmi;
                     app.marks <- fresh.marks;
                     install_hooks app st;
-                    let term, seq =
-                      Option.value
-                        (rep_meta_of_payload payload)
-                        ~default:(0, 0)
-                    in
+                    let term, seq = Option.value meta ~default:(0, 0) in
                     Result.map
                       (fun () -> app.rep_recovered <- Some (term, seq))
                       (lift

@@ -19,6 +19,13 @@ val intern : string -> int
 (** The atom id for this string, interning it first if needed. Counter
     [atom.intern] counts first-time internings. *)
 
+val intern_all : string array -> int array
+(** [Array.map intern], for recovery's whole atom table at once: each
+    string is hashed once, and the strings not yet interned take the
+    lock once, grow the table once and publish once. Duplicates within
+    the array get one id; [atom.intern] counts first-time internings
+    exactly as [intern] would. *)
+
 val find : string -> int option
 (** The atom id if the string has been interned, without interning it.
     The read-path lookup. *)

@@ -98,6 +98,8 @@ end
 
 let columnar_compact_count = Si_obs.Registry.counter "store.columnar.compact"
 let columnar_compact_latency = Si_obs.Registry.histogram "store.columnar.compact"
+let columnar_pair_build_count =
+  Si_obs.Registry.counter "store.columnar.pair_build"
 
 module Columnar_store = struct
   (* Triples held column-wise as parallel int arrays over {!Atom} ids:
@@ -171,13 +173,13 @@ module Columnar_store = struct
     by_s : Aidx.t;  (* indexed by subject atom id *)
     by_p : Aidx.t;  (* indexed by predicate atom id *)
     by_o : Aidx.t;  (* indexed by packed object *)
-    by_sp : (int, bucket) Hashtbl.t;  (* keyed by [key_sp] *)
-    by_po : (int, bucket) Hashtbl.t;  (* keyed by [key_po] *)
+    mutable by_sp : (int, bucket) Hashtbl.t;  (* keyed by [key_sp] *)
+    mutable by_po : (int, bucket) Hashtbl.t;  (* keyed by [key_po] *)
     (* The pair indexes are built lazily, on the first pair-bound query
-       ([ensure_pairs]): bulk loads and write-heavy phases never pay
-       for them, and once built they are maintained eagerly like the
-       single-field indexes. Compaction and [clear] drop them back to
-       unbuilt. *)
+       ([ensure_pairs]), and sized then for the rows they will hold:
+       bulk loads and write-heavy phases never pay for them, and once
+       built they are maintained eagerly like the single-field indexes.
+       Compaction and [clear] drop them back to unbuilt. *)
     mutable pairs_built : bool;
   }
 
@@ -197,26 +199,23 @@ module Columnar_store = struct
     let rec up c = if c >= 4 * n then c else up (2 * c) in
     up 64
 
-  let create_sized n =
-    let cap = max 16 n in
+  let create () =
     {
-      subs = Array.make cap (-1);
-      preds = Array.make cap (-1);
-      objs = Array.make cap (-1);
-      rows = Array.make cap dummy;
+      subs = Array.make 16 (-1);
+      preds = Array.make 16 (-1);
+      objs = Array.make 16 (-1);
+      rows = Array.make 16 dummy;
       len = 0;
       live = 0;
-      slots = Array.make (slot_capacity n) (-1);
+      slots = Array.make (slot_capacity 0) (-1);
       slot_dead = 0;
-      by_s = Aidx.create n;
-      by_p = Aidx.create n;
-      by_o = Aidx.create n;
-      by_sp = Hashtbl.create (max 64 n);
-      by_po = Hashtbl.create (max 64 n);
+      by_s = Aidx.create 0;
+      by_p = Aidx.create 0;
+      by_o = Aidx.create 0;
+      by_sp = Hashtbl.create 1;
+      by_po = Hashtbl.create 1;
       pairs_built = false;
     }
-
-  let create () = create_sized 0
 
   (* One multiply-xor round per field; the final mask keeps the result
      a valid non-negative index. *)
@@ -506,7 +505,10 @@ module Columnar_store = struct
      build both pair indexes in one pass over the live rows. *)
   let ensure_pairs t =
     if not t.pairs_built then begin
+      Si_obs.Counter.incr columnar_pair_build_count;
       t.pairs_built <- true;
+      t.by_sp <- Hashtbl.create (max 64 t.live);
+      t.by_po <- Hashtbl.create (max 64 t.live);
       for row = 0 to t.len - 1 do
         let sid = t.subs.(row) in
         if sid >= 0 then begin
@@ -592,9 +594,11 @@ module Columnar_store = struct
 
   (* Bulk load for snapshot recovery. The store takes ownership of the
      three column arrays — the decoder fills them and hands them over,
-     so nothing is copied and no per-row tuple is ever allocated — and
-     every table is pre-sized for the full row count (no growth
-     doublings, no rehashes). Input rows come from a decoded snapshot
+     so nothing is copied and no per-row tuple is ever allocated. The
+     primary set and the subject and object indexes are pre-sized for
+     the full row count (no growth doublings, no rehashes); the
+     predicate index holds a handful of keys, and the pair indexes are
+     left to [ensure_pairs]. Input rows come from a decoded snapshot
      of a set, so duplicates are not expected — but the payload is
      untrusted, so the primary-set probe stays and a duplicate row is
      compacted away in place (the write cursor trails the read cursor,
@@ -613,10 +617,10 @@ module Columnar_store = struct
         slots = Array.make (slot_capacity n) (-1);
         slot_dead = 0;
         by_s = Aidx.create n;
-        by_p = Aidx.create n;
+        by_p = Aidx.create 0;
         by_o = Aidx.create n;
-        by_sp = Hashtbl.create (max 64 n);
-        by_po = Hashtbl.create (max 64 n);
+        by_sp = Hashtbl.create 1;
+        by_po = Hashtbl.create 1;
         pairs_built = false;
       }
     in

@@ -71,9 +71,21 @@ module Columnar_store : S
     Removals tombstone rows; the store compacts itself when tombstones
     pass half the occupancy (counter and span [store.columnar.compact]).
     [of_packed_columns] takes ownership of the columns and fills the
-    pre-sized primary set and indexes in one pass — no growth doublings
-    or rehashes — which is what makes binary snapshot recovery beat XML
-    by the E15 margin.
+    pre-sized primary set and single-field indexes in one pass — no
+    growth doublings or rehashes — which is what makes binary snapshot
+    recovery beat XML by the E15 margin.
+
+    The two pair indexes are lazy. Only a [select] or [count] with
+    subject and predicate bound, object free, or with predicate and
+    object bound, subject free, builds them: both at once, in one pass
+    over the live rows, with tables sized then for the live row count
+    (counter [store.columnar.pair_build]). Every other combination
+    answers from the single-field indexes or the primary set and never
+    builds them. Once built they are maintained on every add and
+    remove; compaction and [clear] drop them back to unbuilt. So a
+    store loaded from a snapshot and only read by subject, like a
+    recovered pad, never pays for them; its first pair-bound read pays
+    the whole build.
     Single-domain; {!Sharded_columnar} shares it across domains. *)
 
 module Sharded_columnar : S

@@ -490,7 +490,7 @@ let of_binary_sections ?(store = default_store) sections =
   match decode_sections sections with
   | Error e -> Error e
   | Ok (atoms, body, count) -> (
-      let glob = Array.map Atom.intern atoms in
+      let glob = Atom.intern_all atoms in
       let subs = Array.make count 0 in
       let preds = Array.make count 0 in
       let objs = Array.make count 0 in

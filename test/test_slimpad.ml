@@ -705,6 +705,60 @@ let test_wal_snapshot_into_sharded_store () =
   ok (Slimpad.wal_close app2);
   cleanup_wal path
 
+let test_wal_recovery_builds_no_pair_index () =
+  (* Recovery pays for the snapshot's rows and nothing else: neither the
+     model install nor the replayed tail asks the store for a
+     subject+predicate or predicate+object bucket, so no shard builds
+     its pair indexes until a request needs one. *)
+  let open Si_triple in
+  let module Model = Si_metamodel.Model in
+  let desk = Desktop.create () in
+  let spec = Si_workload.Icu.build_desktop ~patients:10 ~seed:5 desk in
+  let app = Slimpad.create desk in
+  let pad = Si_workload.Icu.build_worksheet app spec in
+  let path = fresh_wal_path () in
+  ok (Slimpad.enable_wal app path);
+  (* A tail the recovery replays on top of the snapshot. *)
+  let root = Dmi.root_bundle (Slimpad.dmi app) pad in
+  ignore (Slimpad.add_bundle app ~parent:root ~name:"replayed" ());
+  ok (Slimpad.wal_close app);
+  let builds = Si_obs.Registry.counter "store.columnar.pair_build" in
+  let before = Si_obs.Counter.get builds in
+  let app2, rc =
+    ok (Slimpad.open_wal ~store:(module Store.Sharded_columnar) desk path)
+  in
+  check_bool "recovered from snapshot" true rc.Slimpad.from_snapshot;
+  check_int "replayed the tail" 4 rc.Slimpad.replayed;
+  check_int "recovery built no pair index" before (Si_obs.Counter.get builds);
+  let dmi2 = Slimpad.dmi app2 in
+  check_int "pads" 1 (List.length (Dmi.pads dmi2));
+  check_bool "a predicate+object read builds them" true
+    (Si_obs.Counter.get builds > before);
+  (* The model the subject-bound install reads back is the one a fresh
+     store installs. *)
+  let fresh = Dmi.create () in
+  let constructs (bm : Si_slim.Bundle_model.t) =
+    [ bm.slimpad; bm.bundle; bm.scrap; bm.mark_handle; bm.link;
+      bm.decoration; bm.string_; bm.coordinate; bm.number ]
+  in
+  let bm = Dmi.model fresh and bm2 = Dmi.model dmi2 in
+  check_bool "installed constructs" true (constructs bm = constructs bm2);
+  let cm = Model.compile bm.model and cm2 = Model.compile bm2.model in
+  check_bool "compiled constructs" true
+    (Model.constructs cm = Model.constructs cm2);
+  check_bool "compiled connectors" true
+    (Model.connectors cm = Model.connectors cm2);
+  List.iter
+    (fun c ->
+      check "name" (Model.name_of cm c) (Model.name_of cm2 c);
+      check_bool "parents" true (Model.parents cm c = Model.parents cm2 c);
+      check_bool "applicable" true
+        (Model.applicable cm c = Model.applicable cm2 c))
+    (Model.constructs cm);
+  check_same_state app app2;
+  ok (Slimpad.wal_close app2);
+  cleanup_wal path
+
 let test_wal_torn_tail_recovery () =
   let app, _, smith, _, _, _ = fig4_app () in
   let path = fresh_wal_path () in
@@ -946,6 +1000,8 @@ let suite =
     ("wal: compaction idempotent", `Quick, test_wal_compact_idempotent);
     ("wal: binary snapshot recovers into the sharded store", `Quick,
      test_wal_snapshot_into_sharded_store);
+    ("wal: recovery builds no pair index", `Quick,
+     test_wal_recovery_builds_no_pair_index);
     ("wal: torn tail recovery", `Quick, test_wal_torn_tail_recovery);
     ("wal: rollback keeps log & memory agreeing", `Quick,
      test_wal_rollback_consistency);

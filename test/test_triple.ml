@@ -312,6 +312,61 @@ let test_atom_parallel_intern () =
     check "parallel intern converged" (name i) (Atom.to_string id)
   done
 
+let intern_counter = Si_obs.Registry.counter "atom.intern"
+
+let test_atom_intern_all_is_map_intern () =
+  (* Fresh strings repeated within the array, strings interned before
+     the call, and the empty string; sized past a table doubling. *)
+  let fresh i = Printf.sprintf "atom-test-bulk-%d" i in
+  let old i = Printf.sprintf "atom-test-bulk-old-%d" i in
+  let old_ids = Array.init 50 (fun i -> Atom.intern (old i)) in
+  let strs =
+    Array.init 4000 (fun i ->
+        match i mod 5 with
+        | 0 -> old (i mod 50)
+        | 1 -> ""
+        | _ -> fresh (i mod 1500)  (* most fresh names recur *))
+  in
+  let distinct = List.sort_uniq String.compare (Array.to_list strs) in
+  let unseen = List.filter (fun s -> Atom.find s = None) distinct in
+  let before = Si_obs.Counter.get intern_counter in
+  let size_before = Atom.size () in
+  let ids = Atom.intern_all strs in
+  check_int "counter counts first-time internings" (List.length unseen)
+    (Si_obs.Counter.get intern_counter - before);
+  check_int "table grew by the unseen strings" (List.length unseen)
+    (Atom.size () - size_before);
+  let after = Si_obs.Counter.get intern_counter in
+  let mapped = Array.map Atom.intern strs in
+  check_bool "same ids as Array.map intern" true (ids = mapped);
+  check_int "intern afterwards interns nothing" after
+    (Si_obs.Counter.get intern_counter);
+  Array.iteri
+    (fun i id ->
+      check "to_string inverts" strs.(i) (Atom.to_string id);
+      if i mod 5 = 0 then
+        check_int "interned earlier keeps its id" old_ids.(i mod 50) id)
+    ids;
+  check_bool "empty array" true (Atom.intern_all [||] = [||])
+
+let test_atom_intern_all_parallel () =
+  (* Two domains bulk-intern overlapping arrays, in opposite orders;
+     the ids agree on every shared string and with a later intern. *)
+  let name i = Printf.sprintf "atom-test-bulk-par-%d" i in
+  let a = Array.init 3000 (fun i -> name i) in
+  let b = Array.init 3000 (fun i -> name (4499 - i)) in
+  let before = Si_obs.Counter.get intern_counter in
+  let da = Domain.spawn (fun () -> Atom.intern_all a) in
+  let db = Domain.spawn (fun () -> Atom.intern_all b) in
+  let ia = Domain.join da and ib = Domain.join db in
+  check_int "each string interned once" 4500
+    (Si_obs.Counter.get intern_counter - before);
+  for i = 1500 to 2999 do
+    check_int "domains agree" ia.(i) ib.(4499 - i)
+  done;
+  Array.iteri (fun i id -> check_int "a agrees" (Atom.intern a.(i)) id) ia;
+  Array.iteri (fun i id -> check_int "b agrees" (Atom.intern b.(i)) id) ib
+
 (* ------------------------------------------- columnar store internals *)
 
 let test_columnar_compaction () =
@@ -872,6 +927,10 @@ let suite =
       ("atom: canon returns stored instances", `Quick, test_atom_canon);
       ("atom: ids stable across growth", `Quick, test_atom_growth_dense_ids);
       ("atom: parallel intern converges", `Quick, test_atom_parallel_intern);
+      ("atom: intern_all is Array.map intern", `Quick,
+       test_atom_intern_all_is_map_intern);
+      ("atom: parallel intern_all agrees", `Quick,
+       test_atom_intern_all_parallel);
       ("columnar: compaction preserves contents", `Quick,
        test_columnar_compaction);
       ("sharded-columnar: parallel adds", `Quick,
