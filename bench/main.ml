@@ -112,6 +112,18 @@ let write_json path =
 
 let staged = Staged.stage
 
+(* A test whose closure has already run once, so its first sample pays
+   for no lazily built state. *)
+let warmed ~name f =
+  ignore (Sys.opaque_identity (f ()));
+  Test.make ~name (staged f)
+
+(* The E10 and E15 groups end their set-up with a full major collection,
+   so their first samples do not pay the GC debt earlier groups left. *)
+let settled tests =
+  Gc.full_major ();
+  tests
+
 (* --------------------------------------------------------- fixtures *)
 
 (* A bundle-scrap world of [n] scraps through the DMI: one pad, n/10
@@ -520,9 +532,9 @@ let query_tests () =
 (* --------------------------- E10: compound-indexed query path (this PR) *)
 
 (* A fixture with wide subjects — 100 subjects x 100 predicates — so the
-   bound subject+predicate lookup has something to win: the pair-index
-   bucket holds exactly 1 triple where the single-key subject bucket holds
-   100 to post-filter. *)
+   bound subject+predicate lookup has something to win: its predicate
+   group holds exactly 1 triple where the subject's run holds 100 to
+   post-filter. *)
 let wide_triples ~subjects ~predicates =
   List.concat_map
     (fun s ->
@@ -542,55 +554,59 @@ let compound_path_tests () =
       let s = "subj-50" and p = "pred-50" in
       let o = Triple.literal "v-50-50" in
       [
-        Test.make
+        warmed
           ~name:(Printf.sprintf "select-sp:%s" impl_name)
-          (staged (fun () -> S.select ~subject:s ~predicate:p filled));
-        (* The seed's single-key path: subject bucket, then post-filter on
+          (fun () -> S.select ~subject:s ~predicate:p filled);
+        (* The seed's single-key path: subject run, then post-filter on
            the predicate — what select-sp used to cost. *)
-        Test.make
+        warmed
           ~name:(Printf.sprintf "select-sp-postfilter:%s" impl_name)
-          (staged (fun () ->
-               List.filter
-                 (fun (tr : Triple.t) -> String.equal tr.predicate p)
-                 (S.select ~subject:s filled)));
-        Test.make
+          (fun () ->
+            List.filter
+              (fun (tr : Triple.t) -> String.equal tr.predicate p)
+              (S.select ~subject:s filled));
+        warmed
           ~name:(Printf.sprintf "select-po:%s" impl_name)
-          (staged (fun () -> S.select ~predicate:p ~object_:o filled));
-        Test.make
+          (fun () -> S.select ~predicate:p ~object_:o filled);
+        warmed
           ~name:(Printf.sprintf "count-sp:%s" impl_name)
-          (staged (fun () -> S.count ~subject:s ~predicate:p filled));
-        Test.make
+          (fun () -> S.count ~subject:s ~predicate:p filled);
+        warmed
           ~name:(Printf.sprintf "exists-subject:%s" impl_name)
-          (staged (fun () -> S.count ~subject:s filled > 0));
+          (fun () -> S.count ~subject:s filled > 0);
       ])
     Store.implementations
+  |> settled
 
-(* Multi-domain throughput: 4 domains hammer one shared store with a
-   mixed add/select workload on disjoint subjects. The sharded store's
-   subject-hashed locks let the domains proceed in parallel. It is the
-   store `slimpad serve` runs, and the only thread-safe one. *)
+(* The shape `slimpad serve` runs: one writer and three lock-free
+   readers on one shared store. The writer adds 1,000 triples over 97
+   subjects; each reader meanwhile runs 1,000 subject-bound selects and
+   counts over the same subjects. A run is the time until all four
+   domains are done. *)
 let concurrent_throughput_tests () =
-  let ops_per_domain = 1_000 in
-  let mixed (module S : Store.S) () =
+  let ops = 1_000 in
+  let module S = Store.Columnar_store in
+  let run () =
     let s = S.create () in
-    let worker d () =
-      for i = 0 to ops_per_domain - 1 do
-        let subject = Printf.sprintf "d%d-r%d" d (i mod 97) in
-        ignore
-          (S.add s
-             (Triple.make subject "p" (Triple.literal (string_of_int i))));
-        if i mod 10 = 0 then ignore (S.select ~subject s);
-        if i mod 100 = 0 then ignore (S.count ~subject s > 0)
+    let subject i = Printf.sprintf "w-r%d" (i mod 97) in
+    let writer () =
+      for i = 0 to ops - 1 do
+        let o = Triple.literal (string_of_int i) in
+        ignore (S.add s (Triple.make (subject i) "p" o))
       done
     in
-    let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+    let reader d () =
+      for i = 0 to ops - 1 do
+        ignore (S.select ~subject:(subject (i + d)) s);
+        ignore (S.count ~subject:(subject (i + (2 * d))) s > 0)
+      done
+    in
+    let domains =
+      Domain.spawn writer :: List.init 3 (fun d -> Domain.spawn (reader d))
+    in
     List.iter Domain.join domains
   in
-  [
-    Test.make
-      ~name:("mixed-4-domains:" ^ Store.Sharded_columnar.name)
-      (staged (mixed (module Store.Sharded_columnar)));
-  ]
+  settled [ warmed ~name:("1-writer-3-readers:" ^ S.name) run ]
 
 (* Early-terminating limit: limit 1 must cost a fraction of the full scan
    on the same join. *)
@@ -612,29 +628,24 @@ let limit_tests () =
       "select ?n where { ?s <rdf:type> <model:bundle-scrap/Scrap> . ?s \
        scrapName ?n } order by ?n limit 5"
   in
-  [
-    Test.make ~name:"query:full-scan"
-      (staged (fun () -> Si_query.Query.run trim full));
-    Test.make ~name:"query:limit-1"
-      (staged (fun () -> Si_query.Query.run trim limited));
-    Test.make ~name:"query:order-by-top-5"
-      (staged (fun () -> Si_query.Query.run trim topk));
-  ]
+  settled
+    [
+      warmed ~name:"query:full-scan" (fun () -> Si_query.Query.run trim full);
+      warmed ~name:"query:limit-1" (fun () -> Si_query.Query.run trim limited);
+      warmed ~name:"query:order-by-top-5" (fun () ->
+          Si_query.Query.run trim topk);
+    ]
 
 (* ------------------------------------------ application-level benches *)
 
 (* A resolve at the served size: the 200-patient worksheet (2,293
-   scraps) on the server's store. "BUN 3" labels 33 scraps, near the
+   scraps) on the store the server runs. "BUN 3" labels 33 scraps, near the
    rounds workload's 31.5 matches per resolve; "e", a one-letter search,
    is in 1,176 labels (51%); the empty needle lists every scrap. *)
 let served_find_tests () =
   let desk = Desktop.create () in
   let spec = Si_workload.Icu.build_desktop ~patients:200 ~seed:1 desk in
-  let app =
-    Si_slimpad.Slimpad.create
-      ~store:(module Si_triple.Store.Sharded_columnar)
-      desk
-  in
+  let app = Si_slimpad.Slimpad.create desk in
   let pad = Si_workload.Icu.build_worksheet app spec in
   [
     Test.make ~name:"find-scraps:label@200-patients"
@@ -1026,15 +1037,13 @@ let obs_overhead_tests () =
 
 (* ------------- E15: columnar store scaling & binary snapshot codec *)
 
-(* The atom-interned columnar store and its sharded form, at sizes where
-   representation dominates. The dataset is [synthetic_triples] plus one
-   "captive" bundle holding n/100 scraps — the §3 many-scrap bundle — so
-   the probes cover both bucket regimes: fat-bucket counts and filtered
-   selects (O(1) live counters and int-compare scans), and point probes
-   on tiny buckets, which sit at the allocation floor. Every probe runs
-   once before measurement so lazily built state (bucket cleaning, pair
-   indexes) is steady. 1M rows only off-smoke, and only for the
-   unsharded store. *)
+(* The columnar store at sizes where representation dominates. The
+   dataset is [synthetic_triples] plus one "captive" bundle holding
+   n/100 scraps — the §3 many-scrap bundle — so the probes cover both
+   run regimes: fat-run counts and filtered selects (run lengths and
+   int-compare scans), and point probes on short runs, which sit at the
+   allocation floor. The store is filled by [add], so it holds a packed
+   base and a delta of up to a quarter of it. 1M rows only off-smoke. *)
 let e15_triples n =
   let fat = max 64 (n / 100) in
   let captive =
@@ -1047,15 +1056,6 @@ let e15_triples n =
 let columnar_scaling_tests () =
   let sizes =
     if !smoke then [ 10_000 ] else [ 10_000; 100_000; 1_000_000 ]
-  in
-  let impls n =
-    let columnar = ("columnar", (module Store.Columnar_store : Store.S)) in
-    if n >= 1_000_000 then [ columnar ]
-    else
-      [
-        columnar;
-        ("sharded-columnar", (module Store.Sharded_columnar : Store.S));
-      ]
   in
   List.concat_map
     (fun n ->
@@ -1094,19 +1094,18 @@ let columnar_scaling_tests () =
           in
           List.map
             (fun (probe_name, probe) ->
-              probe ();
-              Test.make
+              warmed
                 ~name:(Printf.sprintf "%s:%s:n=%d" probe_name impl_name n)
-                (staged probe))
+                probe)
             probes)
-        (impls n))
+        [ ("columnar", (module Store.Columnar_store : Store.S)) ])
     sizes
+  |> settled
 
 (* Recovering a served pad from its snapshot bytes: the decoder
    [Slimpad.of_snapshot_bytes] runs ([Pad_format.restore], the
    Bundle-Scrap model install included) into the store [slimpad serve]
-   uses. Recovery builds no pair index; one creeping back shows here as
-   an extra pass over every row of every shard. *)
+   uses, which builds its packed base once from the columns. *)
 let recover_pad_test n =
   let dmi = Dmi.create () in
   Trim.add_all (Dmi.trim dmi) (synthetic_triples n);
@@ -1114,16 +1113,14 @@ let recover_pad_test n =
     Si_wal.Binary.encode
       (Si_slimpad.Pad_format.sections dmi (Manager.create ()))
   in
-  Test.make
+  warmed
     ~name:(Printf.sprintf "recover-pad:n=%d" n)
-    (staged (fun () ->
-         match Si_wal.Binary.decode bytes with
-         | Error e -> failwith e
-         | Ok sections ->
-             Result.get_ok
-               (Si_slimpad.Pad_format.restore
-                  ~store:(module Store.Sharded_columnar)
-                  (Manager.create ()) sections)))
+    (fun () ->
+      match Si_wal.Binary.decode bytes with
+      | Error e -> failwith e
+      | Ok sections ->
+          Result.get_ok
+            (Si_slimpad.Pad_format.restore (Manager.create ()) sections))
 
 (* Binary vs XML snapshot codec: encode, decode (= recovery's parse
    path, including the XML parse the binary form skips), and the byte
@@ -1137,31 +1134,29 @@ let snapshot_codec_tests () =
       let xml = Si_xmlk.Print.to_string (Trim.to_xml trim) in
       let bin = Trim.to_binary trim in
       [
-        Test.make
+        warmed
           ~name:(Printf.sprintf "encode-xml:n=%d" n)
-          (staged (fun () ->
-               ignore (Si_xmlk.Print.to_string (Trim.to_xml trim))));
-        Test.make
+          (fun () -> ignore (Si_xmlk.Print.to_string (Trim.to_xml trim)));
+        warmed
           ~name:(Printf.sprintf "encode-binary:n=%d" n)
-          (staged (fun () -> ignore (Trim.to_binary trim)));
-        Test.make
+          (fun () -> ignore (Trim.to_binary trim));
+        warmed
           ~name:(Printf.sprintf "recover-xml:n=%d" n)
-          (staged (fun () ->
-               match Si_xmlk.Parse.node xml with
-               | Error _ -> assert false
-               | Ok root ->
-                   Result.get_ok
-                     (Trim.of_xml (Si_xmlk.Node.strip_whitespace root))));
-        Test.make
+          (fun () ->
+            match Si_xmlk.Parse.node xml with
+            | Error _ -> assert false
+            | Ok root ->
+                Result.get_ok
+                  (Trim.of_xml (Si_xmlk.Node.strip_whitespace root)));
+        warmed
           ~name:(Printf.sprintf "recover-binary:n=%d" n)
-          (staged (fun () -> Result.get_ok (Trim.of_binary bin)));
+          (fun () -> Result.get_ok (Trim.of_binary bin));
       ])
     sizes
   @ [ recover_pad_test (if !smoke then 10_000 else 100_000) ]
-  @
-  (* The checksum every container section and WAL record pays. *)
+  @ (* The checksum every container section and WAL record pays. *)
   let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
-  [ Test.make ~name:"crc32:1MiB" (staged (fun () -> Si_wal.Crc32.digest mib)) ]
+  settled [ warmed ~name:"crc32:1MiB" (fun () -> Si_wal.Crc32.digest mib) ]
 
 let snapshot_size_report () =
   Printf.printf "\n-- E15 snapshot bytes (binary vs XML) --\n";
@@ -1344,9 +1339,7 @@ let e17_server () =
   let dir = e16_dir () in
   let app, _ =
     Result.get_ok
-      (Si_slimpad.Slimpad.open_wal
-         ~store:(module Si_triple.Store.Sharded_columnar)
-         (Desktop.create ())
+      (Si_slimpad.Slimpad.open_wal (Desktop.create ())
          (Filename.concat dir "pad.wal"))
   in
   ignore (Si_slimpad.Slimpad.new_pad app "bench-pad");
@@ -1466,9 +1459,9 @@ let check_overhead_tests () =
     Si_check.Lock.with_lock lk (fun () ->
         Si_check.Lock.with_lock inner (fun () -> ()))
   in
-  (* The E10 hot op under instrumentation: a sharded-store add (shard
+  (* The E10 hot op under instrumentation: a store add (store writer
      lock + atom-table lock per call) with a select every 10th run. *)
-  let module S = Store.Sharded_columnar in
+  let module S = Store.Columnar_store in
   let s = S.create () in
   let i = ref 0 in
   let store_op () =
@@ -1482,9 +1475,9 @@ let check_overhead_tests () =
     Test.make ~name:"Si_check.Lock pair (disabled)" (staged (disabled pair));
     Test.make ~name:"Si_check.Lock pair (enabled)" (staged (enabled pair));
     Test.make ~name:"nested with_lock x2 (enabled)" (staged (enabled nested));
-    Test.make ~name:"sharded add+select (disabled)"
+    Test.make ~name:"store add+select (disabled)"
       (staged (disabled store_op));
-    Test.make ~name:"sharded add+select (enabled)"
+    Test.make ~name:"store add+select (enabled)"
       (staged (enabled store_op));
   ]
 

@@ -1286,16 +1286,14 @@ let cmd_archive_prune dir keep archive =
       0
 
 (* The replica workspace the server routes fresh reads to; created on
-   first use, resumed afterwards. Sharded store: server reads run on
-   worker domains while shipping applies records. *)
+   first use, resumed afterwards. Server reads run on worker domains
+   while shipping applies records; the store's reads take no lock. *)
 let open_replica_dir rdir =
   (if not (Sys.file_exists rdir) then
      try Unix.mkdir rdir 0o755 with Unix.Unix_error _ -> ());
   let desk, problems = Workspace.load_desktop rdir in
   List.iter (Printf.eprintf "warning: %s\n") problems;
-  Slimpad.open_replica
-    ~store:(module Si_triple.Store.Sharded_columnar)
-    desk (Workspace.wal_path rdir)
+  Slimpad.open_replica desk (Workspace.wal_path rdir)
 
 let cmd_serve dir endpoint workers max_lag replica_of =
   let fail msg =
@@ -1308,10 +1306,7 @@ let cmd_serve dir endpoint workers max_lag replica_of =
       if not (Workspace.wal_present dir) then
         fail "workspace is not journaled (run wal-enable first)"
       else
-        match
-          Workspace.open_workspace
-            ~store:(module Si_triple.Store.Sharded_columnar) dir
-        with
+        match Workspace.open_workspace dir with
         | Error msg -> fail msg
         | Ok app -> (
             let closing code =
@@ -2343,7 +2338,7 @@ let client_cmd =
 
 (* `slimpad check` — the concurrency sanitizer's built-in exercise.
    One process stands up the whole concurrent stack — a journaled
-   sharded-store leader, async WAL shipping into an in-process
+   leader, async WAL shipping into an in-process
    follower, the network server with replica-aware reads and a
    background job runner — and drives it with the open-loop load
    generator (reads, writes, bulk jobs), an explicit ship round, and a
@@ -2373,10 +2368,7 @@ let cmd_check json =
   in
   let leader, _ =
     step "open leader"
-      (Slimpad.open_wal
-         ~store:(module Si_triple.Store.Sharded_columnar)
-         (Desktop.create ())
-         (Filename.concat dir "pad.wal"))
+      (Slimpad.open_wal (Desktop.create ()) (Filename.concat dir "pad.wal"))
   in
   ignore (Slimpad.new_pad leader "exercised");
   step "start shipping"
@@ -2384,9 +2376,7 @@ let cmd_check json =
        ~archive:(Filename.concat dir "pad.archive"));
   let rapp, _ =
     step "open replica"
-      (Slimpad.open_replica
-         ~store:(module Si_triple.Store.Sharded_columnar)
-         (Desktop.create ())
+      (Slimpad.open_replica (Desktop.create ())
          (Filename.concat dir "replica.wal"))
   in
   let rep = Option.get (Slimpad.replica rapp) in

@@ -85,23 +85,18 @@ let load_desktop dir =
     entries;
   (desk, List.rev !problems)
 
-(* [store] picks the triple store of a journaled or fresh pad; a
-   whole-file pad (never served: serve needs a WAL) loads into the
-   default store. *)
-let open_workspace ?store ?resilient ?wrap
+let open_workspace ?resilient ?wrap
     ?(on_warning = Printf.eprintf "warning: %s\n") dir =
   let desk, problems = load_desktop dir in
   List.iter on_warning problems;
   if wal_present dir then
-    match
-      Slimpad.open_wal ?store ?resilient ?wrap ~on_warning desk (wal_path dir)
-    with
+    match Slimpad.open_wal ?resilient ?wrap ~on_warning desk (wal_path dir) with
     | Error _ as e -> e
     | Ok (app, _) -> Ok app
   else
     let file = pad_store dir in
     if Sys.file_exists file then Slimpad.load ?resilient ?wrap desk file
-    else Ok (Slimpad.create ?store ?resilient ?wrap desk)
+    else Ok (Slimpad.create ?resilient ?wrap desk)
 
 let save_workspace dir app =
   match Slimpad.persistence app with

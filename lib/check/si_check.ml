@@ -142,7 +142,10 @@ let () =
       ("wal.log", 60, true, "WAL writer; group commit flushes under it");
       ("wal.ship", 70, true, "shipping buffer; seals segments to disk");
       ("slimpad.ship.wake", 80, false, "async shipper wakeup flag");
-      ("store.shard", 110, false, "per-shard store lock; never nested");
+      ( "store.writer",
+        110,
+        false,
+        "serializes one triple store's writers; readers take no lock" );
       ("atom.table", 120, false, "atom-interning append lock");
       ("obs.registry", 200, false, "metric registry lookups");
       ("obs.span.ring", 210, false, "finished-span ring buffer");
@@ -413,7 +416,7 @@ module Lock = struct
 
   (* Not [Fun.protect]: its closure and handler setup are a measurable
      share of an uncontended acquire, and [with_lock] sits on every
-     sharded-store access. *)
+     store write. *)
   let with_lock t f =
     lock t;
     match f () with

@@ -28,11 +28,10 @@ let model_id_of_name model_name = "model:" ^ model_name
 
 (* The model's own resources (the model, its constructs and connectors)
    carry a handful of triples each, so they are read with one
-   subject-bound select and the predicates picked out of that list. A
-   subject read never builds the store's pair indexes, where a
-   subject+predicate read would ({!Si_triple.Store}). A subject bucket
-   lists rows in the order the pair bucket does, so the first object of
-   a predicate is the one [Trim.object_of] gives. *)
+   subject-bound select and the predicates picked out of that list,
+   rather than with one select per predicate. Both list rows newest
+   first ({!Si_triple.Store}), so the first object of a predicate is the
+   one [Trim.object_of] gives. *)
 let first_object triples predicate =
   List.find_map
     (fun (tr : Triple.t) ->

@@ -51,10 +51,10 @@ val define : Si_triple.Trim.t -> name:string -> t
 
     [define], [find], [construct] and its siblings, and [connect] read
     each model resource (the model, a construct, a connector) with one
-    subject-bound select and pick its predicates out of that list. So
+    subject-bound select and pick its predicates out of that list, so
     installing a model into a large recovered store, as
-    [Si_slim.Bundle_model.install] does at every open, never makes a
-    {!Si_triple.Store.Columnar_store} build its pair indexes. *)
+    [Si_slim.Bundle_model.install] does at every open, costs one select
+    per resource. *)
 
 val find : Si_triple.Trim.t -> name:string -> t option
 val all : Si_triple.Trim.t -> t list

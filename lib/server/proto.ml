@@ -267,17 +267,25 @@ let decode_request raw = unframe raw request_of
 let decode_response raw = unframe raw response_of
 
 (* Short operation names for metric series ("server.req.<op>"). *)
-let request_op = function
-  | Ping -> "ping"
-  | Open_pad _ -> "open"
-  | Pads -> "pads"
-  | Select _ -> "select"
-  | Count _ -> "count"
-  | Query _ -> "query"
-  | Add _ -> "add"
-  | Remove _ -> "remove"
-  | Resolve _ -> "resolve"
-  | Stats -> "stats"
-  | Submit _ -> "submit"
-  | Job_status _ -> "job_status"
-  | Shutdown -> "shutdown"
+let request_ops =
+  [|
+    "ping"; "open"; "pads"; "select"; "count"; "query"; "add"; "remove";
+    "resolve"; "stats"; "submit"; "job_status"; "shutdown";
+  |]
+
+let request_kind = function
+  | Ping -> 0
+  | Open_pad _ -> 1
+  | Pads -> 2
+  | Select _ -> 3
+  | Count _ -> 4
+  | Query _ -> 5
+  | Add _ -> 6
+  | Remove _ -> 7
+  | Resolve _ -> 8
+  | Stats -> 9
+  | Submit _ -> 10
+  | Job_status _ -> 11
+  | Shutdown -> 12
+
+let request_op req = request_ops.(request_kind req)

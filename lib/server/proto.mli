@@ -85,3 +85,9 @@ val decode_response : string -> (response, string) result
 val request_op : request -> string
 (** Short stable operation name, the metric suffix in
     ["server.req.<op>"]. *)
+
+val request_kind : request -> int
+(** The request's position in {!request_ops}. *)
+
+val request_ops : string array
+(** Every {!request_op}, indexed by {!request_kind}. *)

@@ -3,12 +3,12 @@
    a time (frames are request/response, so concurrency = workers), and
    one job-runner domain draining the background queue.
 
-   Reads run concurrently over the sharded store — and go to the
-   attached follower whenever its bounded-staleness guard holds — while
-   every mutation serializes through [writer] and syncs the leader's
-   WAL before the response, so an acknowledged write survives a process
-   crash. The sync flushes to the OS and does not fsync, so a power
-   loss can still drop it (see [Si_wal.Log]).
+   Reads run concurrently without a lock, each on one snapshot of the
+   store, and go to the attached follower whenever its bounded-staleness
+   guard holds, while every mutation serializes through [writer] and
+   syncs the leader's WAL before the response, so an acknowledged write
+   survives a process crash. The sync flushes to the OS and does not
+   fsync, so a power loss can still drop it (see [Si_wal.Log]).
 
    Backpressure is typed, never blocking: a full connection queue is
    answered [Overloaded] at accept, a full job queue at submit. A frame
@@ -32,6 +32,14 @@ let leader_read_count = Si_obs.Registry.counter "server.read.leader"
 let sessions_gauge = Si_obs.Registry.gauge "server.sessions"
 let queue_gauge = Si_obs.Registry.gauge "server.queue.depth"
 let request_latency = Si_obs.Registry.histogram "server.request"
+
+(* ["server.req.<op>"] per request kind, resolved once: a lookup per
+   request would build the name and take the process-wide registry
+   lock on every worker domain. *)
+let op_latency =
+  Array.map
+    (fun op -> Si_obs.Registry.histogram ("server.req." ^ op))
+    Proto.request_ops
 
 type config = {
   addr : string;
@@ -132,7 +140,7 @@ let run_job t = function
             (fun () -> "checkpointed")
             (Slimpad.ship_checkpoint t.leader))
   | Proto.Lint ->
-      (* Read-only over the live stores (shard locks make that safe);
+      (* Read-only over the live stores, whose reads take no lock;
          deliberately outside the writer lock so a long lint pass never
          stalls interactive writes. *)
       let app = t.leader in
@@ -421,9 +429,7 @@ let serve_conn t fd =
               in
               let elapsed = Si_obs.Clock.now () - started in
               Si_obs.Histogram.add request_latency elapsed;
-              Si_obs.Histogram.add
-                (Si_obs.Registry.histogram ("server.req." ^ op))
-                elapsed;
+              Si_obs.Histogram.add op_latency.(Proto.request_kind req) elapsed;
               match send_response fd resp with
               | Error _ -> ()
               | Ok () -> (

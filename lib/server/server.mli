@@ -4,9 +4,10 @@
     worker domains each service one connection at a time (the protocol
     is strict request/response, so concurrent clients = workers); one
     job-runner domain drains the background {!Jobq}. Reads run
-    concurrently over the pad's sharded store — open the served pad
-    with {!Si_triple.Store.Sharded_columnar} — and are {e replica
-    aware}: with an attached [follower], queries go to it whenever
+    concurrently and take no lock: the pad's
+    {!Si_triple.Store.Columnar_store}, the default store, answers each
+    read from one published snapshot. Reads are {e replica aware}: with
+    an attached [follower], queries go to it whenever
     {!Si_wal.Replica.fresh_enough} holds and fall back to the leader
     otherwise. Every mutation serializes through one writer lock and
     syncs the leader's WAL before the response.

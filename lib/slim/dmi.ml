@@ -380,12 +380,12 @@ let scraps_held t pad ids =
   |> List.sort (fun (a, _) (b, _) -> List.compare compare_step a b)
   |> List.map snd
 
-(* Walking up costs a few selects per match, each visiting every shard
-   of a sharded store; walking down costs two selects per bundle, fewer
-   than one per scrap. The two cost the same near 19% of names matching
-   on the 200-patient worksheet over the sharded store, and near 30% on
-   a 6-patient one over the default store: up is taken while at most
-   one name in [walk_up_share] matches. *)
+(* Walking up costs a few selects per match; walking down costs two
+   selects per bundle, fewer than one per scrap. The two cost the same
+   near 19% of names matching on the 200-patient worksheet (measured over
+   the sharded store the lock-free one replaced), and near 30% on a
+   6-patient one: up is taken while at most one name in [walk_up_share]
+   matches. *)
 let walk_up_share = 5
 
 let scraps_named t pad matches =

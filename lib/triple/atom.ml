@@ -57,6 +57,7 @@ let lookup snap str =
   | id -> Some id
 
 let find str = lookup (Atomic.get state) str
+let strings () = (Atomic.get state).strings
 
 (* Canonical instance when interned: selects that compare against store
    strings then hit [String.equal]'s physical-equality fast path. *)

@@ -243,7 +243,7 @@ let test_hierarchy_declared () =
     [
       "server.session"; "server.jobq"; "server.job"; "server.writer";
       "wal.registry"; "slimpad.ship.round"; "wal.log"; "wal.ship";
-      "slimpad.ship.wake"; "store.shard";
+      "slimpad.ship.wake"; "store.writer";
       "atom.table"; "obs.registry"; "obs.span.ring"; "obs.histogram";
     ];
   (* Ranks are strictly increasing in the sorted listing: no ties, so
@@ -339,18 +339,18 @@ let prop_graph_deterministic =
 
 (* Drive the actual store/interning stack from two domains with
    checking on: the production lock discipline must come out clean,
-   and the graph must contain the real shard -> atom edge. *)
-module Sharded = Si_triple.Store.Sharded_columnar
+   and the graph must contain the real store writer -> atom edge. *)
+module Columnar = Si_triple.Store.Columnar_store
 module Triple = Si_triple.Triple
 
 let test_real_workload_clean () =
   seeded (fun () ->
-      let store = Sharded.create () in
+      let store = Columnar.create () in
       let writer lo =
         Domain.spawn (fun () ->
             for i = lo to lo + 49 do
               ignore
-                (Sharded.add store
+                (Columnar.add store
                    (Triple.make
                       (Printf.sprintf "e%d" i)
                       "p"
@@ -360,13 +360,14 @@ let test_real_workload_clean () =
       let d1 = writer 0 and d2 = writer 50 in
       Domain.join d1;
       Domain.join d2;
-      check_int "all triples landed" 100 (Sharded.size store);
+      check_int "all triples landed" 100 (Columnar.size store);
       let r = Check.report () in
       check_int "production locking is clean" 0
         (List.length r.Check.r_violations);
-      check_bool "shard -> atom edge observed" true
+      check_bool "store writer -> atom edge observed" true
         (List.exists
-           (fun e -> e.Check.e_from = "store.shard" && e.Check.e_to = "atom.table")
+           (fun e ->
+             e.Check.e_from = "store.writer" && e.Check.e_to = "atom.table")
            r.Check.r_edges))
 
 (* -- report plumbing ---------------------------------------------------- *)
